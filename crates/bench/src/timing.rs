@@ -109,8 +109,8 @@ pub struct ScenarioTimings {
     /// Linear motion pieces the continuous audit decomposed the march
     /// timeline into.
     pub audit_pieces: usize,
-    /// Connectivity checks (event-sweep intervals) the audit performed —
-    /// the per-scenario audit event count.
+    /// Connectivity checks the audit performed: spanning-tree builds plus
+    /// the exact sweep's check instants on pieces no tree certified.
     pub audit_checks: usize,
 }
 
@@ -144,7 +144,8 @@ pub struct ScaleTierTiming {
     pub timeline_rows: usize,
     /// Audit pieces of the march timeline.
     pub audit_pieces: usize,
-    /// Audit connectivity checks (event count) of the march timeline.
+    /// Audit connectivity checks (tree builds plus exact-sweep check
+    /// instants) of the march timeline.
     pub audit_checks: usize,
 }
 

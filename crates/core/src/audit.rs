@@ -11,36 +11,47 @@
 //! ```
 //!
 //! (`u` the relative position at the piece start, `w` the relative
-//! displacement over the piece), so no sampling is ever needed:
+//! displacement over the piece), so no sampling is ever needed. By
+//! convexity, **a pair within range at rows `r` and `r + k` is within
+//! range over the whole span between them**. The audit certifies with
+//! that fact first and sweeps exactly only where it cannot:
 //!
-//! * the **maximum** of `d` over a piece is attained at a piece endpoint
-//!   (convexity) — a link is stable on `[0, T]` iff it is within range
-//!   at every piece breakpoint;
-//! * the instants where a pair **crosses** the range `r` are the roots
-//!   of `d²(τ) = r²` — the unit-disk edge set only changes at those
-//!   roots, so connectivity is certified by checking one instant inside
-//!   each open interval between consecutive roots (at a root instant the
-//!   edge set is a superset of both one-sided limits, because `d ≤ r` is
-//!   a closed condition; a supergraph of a connected graph is
-//!   connected).
+//! 1. **Lifetimes.** Every link in range at a row gets a *lifetime*: the
+//!    number of following rows it stays in range at (`dx² + dy² ≤ r²`),
+//!    hence the number of following pieces it stays up over. Robots'
+//!    motion is measured in the *deviation frame* — each piece's mean
+//!    displacement over all robots subtracted, since inter-robot
+//!    distances ignore the common drift — and a per-robot deviation
+//!    prefix bounds how fast a pair's distance can change, so a steady
+//!    link gallops over whole runs of rows in `O(log)`.
+//! 2. **Certificate.** Kruskal over those links, longest lifetime first,
+//!    builds a maximum-bottleneck spanning tree. If it spans the swarm,
+//!    every piece up to its shortest edge lifetime is connected at every
+//!    instant: no roots, no events. The tree is rebuilt at the row where
+//!    it expires; a marching swarm's tree typically lasts the whole
+//!    timeline. A piece is certifiable iff the links in range at both of
+//!    its rows span the swarm, whatever the tree, so later builds walk
+//!    lifetimes only a bounded horizon ahead, and after repeated failed
+//!    builds short runs of pieces go straight to the fallback.
+//! 3. **`L`.** The links at row 0 are the initial links, and a link is
+//!    preserved iff its lifetime reaches the last row, so `L` falls out of
+//!    the first build. Only the broken links are walked exactly, for
+//!    their first out-of-range interval (crossing roots) and maximum
+//!    distance (attained at a row, by convexity).
+//! 4. **Fallback.** A piece no spanning tree certifies is swept exactly.
+//!    Candidate pairs come from a grid with a per-robot reach (how far the
+//!    robot deviates over the piece), so one detouring robot does not
+//!    widen the cutoff for every pair. The unit-disk edge set changes
+//!    only at the roots of `d²(τ) = r²`, so one check instant inside each
+//!    open interval between consecutive roots certifies the piece (at a
+//!    root the edge set is a superset of both one-sided limits, because
+//!    `d ≤ r` is closed, and a supergraph of a connected graph is
+//!    connected). The checks run as an offline dynamic-connectivity
+//!    divide-and-conquer over a rollback union-find.
 //!
-//! Motion is continuous across rows (a row is both the end of one piece
-//! and the start of the next), so the crossing instants of **all**
-//! pieces form one global event axis and connectivity is decided by a
-//! single offline dynamic-connectivity pass over it — a
-//! divide-and-conquer with a rollback union-find whose independent
-//! subtrees fan out over [`anr_par`]. The pair scan itself is batched
-//! into *epochs* of consecutive pieces: one uniform grid built at the
-//! epoch's first row prunes the `O(n²)` pair set for every piece of the
-//! epoch (robots move at most the epoch's displacement budget, so the
-//! grid stays conservative), positions and per-robot cumulative
-//! displacements are laid out as flat robot-major arrays, and each
-//! candidate pair walks the epoch with a displacement-bound skip: while
-//! the pair's distance is provably farther from `r` than the two robots
-//! can close, whole runs of pieces are skipped in `O(log)` without
-//! evaluating a single quadratic. All of this is observation-order
-//! independent — every parallel path returns byte-identical results at
-//! any worker count.
+//! Lifetimes, violation walks and fallback pieces fan out over
+//! [`anr_par`] and merge back in input order, so every result is
+//! byte-identical at any worker count.
 //!
 //! [`audit_piecewise`] runs both checks over an explicit breakpoint
 //! timeline; [`audit_trajectories`] derives that timeline from a
@@ -51,9 +62,8 @@
 use crate::metrics::MetricsError;
 use crate::trajectory::TrajectorySet;
 use anr_geom::Point;
-use anr_netgraph::{RollbackUnionFind, UnitDiskGraph};
+use anr_netgraph::{RollbackUnionFind, UnionFind, UnitDiskGraph};
 use anr_trace::{TraceValue, Tracer};
-use std::collections::BTreeMap;
 
 /// An initial link that left communication range during the transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,9 +97,13 @@ pub struct AuditReport {
     pub disconnected_intervals: Vec<(f64, f64)>,
     /// Linear motion pieces audited (timeline rows − 1).
     pub pieces: usize,
-    /// Connectivity check instants examined: one per open interval
-    /// between consecutive edge-set change events on the **global**
-    /// event axis (events + 1).
+    /// Pieces a spanning tree of links in range throughout certified
+    /// connected, without the exact sweep.
+    pub certified_pieces: usize,
+    /// Connectivity checks performed: one per spanning-tree build, plus
+    /// one per check instant of the exact fallback sweep (an open
+    /// interval between consecutive range-crossing events of an
+    /// uncertified piece). 1 for a single-row timeline.
     pub connectivity_checks: usize,
 }
 
@@ -127,7 +141,8 @@ pub fn audit_trajectories(
 /// [`TrajectorySet::breakpoints`]).
 ///
 /// Emits `audit_violation` / `audit_disconnect` trace events and a
-/// final `audit_summary` event.
+/// final `audit_summary` event, plus the phase spans described at
+/// [`audit_piecewise_with_workers`].
 ///
 /// Worker count: [`anr_par::default_workers`]. The result is
 /// byte-identical at any worker count (see
@@ -148,11 +163,16 @@ pub fn audit_piecewise(
 
 /// [`audit_piecewise`] with an explicit worker count (0 = auto).
 ///
-/// Parallel fan-out happens over three structures — link chunks of the
-/// stability maximum, piece epochs of the crossing scan, and subtrees of
-/// the offline dynamic-connectivity divide-and-conquer. Each is merged
+/// Parallel fan-out happens over link chunks (lifetimes and violation
+/// walks) and over uncertified pieces (the exact sweep). Each is merged
 /// back in deterministic input order, so the report (and every trace
-/// event) is byte-identical whatever `workers` is.
+/// record) is byte-identical whatever `workers` is.
+///
+/// Each phase runs in a span carrying its work counters:
+/// `audit.layout`; `audit.certify` (`audit.links_walked`,
+/// `audit.tree_builds`, `audit.certified_pieces`); `audit.violations`
+/// (`audit.broken_links`); `audit.fallback` (`audit.fallback_pieces`,
+/// `audit.fallback_events`).
 ///
 /// # Errors
 ///
@@ -164,23 +184,36 @@ pub fn audit_piecewise_with_workers(
     workers: usize,
     tracer: &Tracer,
 ) -> Result<AuditReport, MetricsError> {
+    audit_traced(rows, times, range, workers, tracer, tracer)
+}
+
+/// The audit, with its report events (`audit_violation`,
+/// `audit_disconnect`, `audit_summary`) sent to `log` and its phase
+/// spans and work counters to `spans`.
+pub(crate) fn audit_traced(
+    rows: &[Vec<Point>],
+    times: &[f64],
+    range: f64,
+    workers: usize,
+    log: &Tracer,
+    spans: &Tracer,
+) -> Result<AuditReport, MetricsError> {
     validate(rows, times, range)?;
     let n = rows[0].len();
-    let r2 = range * range;
 
     let initial = UnitDiskGraph::new(&rows[0], range);
     let links = initial.links();
     let initial_links = links.len();
 
     let pieces = rows.len() - 1;
-    let (t0, t1) = (times[0], times[pieces]);
 
     if pieces == 0 {
+        let t0 = times[0];
         // Single instant: connectivity of the one row, no motion.
         let mut disconnected_intervals = Vec::new();
         if !initial.is_connected() {
             disconnected_intervals.push((t0, t0));
-            tracer.event(
+            log.event(
                 "audit_disconnect",
                 &[("s_lo", TraceValue::F64(t0)), ("s_hi", TraceValue::F64(t0))],
             );
@@ -195,235 +228,89 @@ pub fn audit_piecewise_with_workers(
             violations: Vec::new(),
             disconnected_intervals,
             pieces: 0,
+            certified_pieces: 0,
             connectivity_checks: 1,
         };
-        trace_summary(tracer, &report);
+        trace_summary(log, &report);
         return Ok(report);
     }
 
-    // ------------------------------------------------------------------
-    // Struct-of-arrays layout: positions plus a per-robot cumulative
-    // *deviation* prefix, robot-major (`arr[i * nrows + r]`). The
-    // deviation frame subtracts each piece's mean displacement over all
-    // robots: inter-robot distances are invariant under the common
-    // drift, so every skip and cutoff bound below only spends budget on
-    // how far robots move relative to the formation — for a marching
-    // swarm that is far smaller than absolute motion.
-    // ------------------------------------------------------------------
-    let nrows = pieces + 1;
-    let mut px = vec![0.0f64; n * nrows];
-    let mut py = vec![0.0f64; n * nrows];
-    for (r, row) in rows.iter().enumerate() {
-        for (i, p) in row.iter().enumerate() {
-            px[i * nrows + r] = p.x;
-            py[i * nrows + r] = p.y;
-        }
-    }
-    let inv_n = 1.0 / n as f64;
-    let mut mean_dx = vec![0.0f64; pieces];
-    let mut mean_dy = vec![0.0f64; pieces];
-    for (r, (row, next)) in rows.iter().zip(&rows[1..]).enumerate() {
-        let (mut sx, mut sy) = (0.0f64, 0.0f64);
-        for (p, q) in row.iter().zip(next) {
-            sx += q.x - p.x;
-            sy += q.y - p.y;
-        }
-        mean_dx[r] = sx * inv_n;
-        mean_dy[r] = sy * inv_n;
-    }
-    // `dmax[r]`: the largest single-robot deviation on piece r (drives
-    // the epoch budget); `cum`: per-robot deviation prefix (drives the
-    // per-pair galloping skip and the discovery cutoffs).
-    let mut cum = vec![0.0f64; n * nrows];
-    let mut dmax = vec![0.0f64; pieces];
-    for i in 0..n {
-        let base = i * nrows;
-        for r in 1..nrows {
-            let dx = px[base + r] - px[base + r - 1] - mean_dx[r - 1];
-            let dy = py[base + r] - py[base + r - 1] - mean_dy[r - 1];
-            let dev = (dx * dx + dy * dy).sqrt();
-            cum[base + r] = cum[base + r - 1] + dev;
-            dmax[r - 1] = dmax[r - 1].max(dev);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Candidate discovery, batched into epochs of consecutive pieces.
-    // One uniform grid per epoch (built at its first row) marks every
-    // pair that can come within range during that epoch: a pair must
-    // start the epoch within `range + 2·(max per-robot deviation over
-    // the epoch)`. The union across epochs (a bit-OR, order-
-    // independent) is the full candidate set; pairs never marked are
-    // provably never in range. The greedy deviation budget keeps each
-    // epoch's cutoff (and so its candidate count) bounded.
-    // ------------------------------------------------------------------
-    let budget = 0.5 * range;
-    let mut epochs: Vec<(usize, usize)> = Vec::new(); // (first piece, piece count)
-    {
-        let mut k = 0;
-        while k < pieces {
-            let mut len = 1;
-            let mut moved = dmax[k];
-            while k + len < pieces && moved + dmax[k + len] <= budget {
-                moved += dmax[k + len];
-                len += 1;
-            }
-            epochs.push((k, len));
-            k += len;
-        }
-    }
-
-    let words = (n * n).div_ceil(64);
-    let pairs: Vec<(u32, u32)> = if n < 64 {
-        (0..n as u32)
-            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
-            .collect()
-    } else {
-        let sets: Vec<Vec<u64>> = anr_par::par_map(&epochs, workers, |&(k0, len)| {
-            discover_epoch(rows, k0, len, range, words, &cum, nrows)
-        });
-        let mut bits = vec![0u64; words];
-        for s in &sets {
-            for (w, &v) in bits.iter_mut().zip(s) {
-                *w |= v;
-            }
-        }
-        let mut pairs = Vec::new();
-        for (wi, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let idx = wi * 64 + word.trailing_zeros() as usize;
-                pairs.push(((idx / n) as u32, (idx % n) as u32));
-                word &= word - 1;
-            }
-        }
-        pairs
+    let layout = {
+        let _s = spans.span("audit.layout");
+        Layout::new(rows, times, range)
     };
 
-    // ------------------------------------------------------------------
-    // Crossing scan: every candidate pair walks the whole timeline once
-    // (position stripes + deviation prefix driving the galloping skip),
-    // emitting its maximal in-range spans, its crossing events on the
-    // global axis, and — when it is an initial link whose spans fail to
-    // cover the timeline — its violation record. Pair chunks are
-    // independent; concatenating chunk outputs in order keeps spans and
-    // violations sorted by pair.
-    // ------------------------------------------------------------------
-    let outs: Vec<PairScan> = anr_par::par_chunks(&pairs, 2048, workers, |chunk| {
-        let mut walk = PairWalk {
-            out: PairScan {
-                events: Vec::new(),
-                spans: Vec::new(),
-                violations: Vec::new(),
-            },
-            px: &px,
-            py: &py,
-            cum: &cum,
-            times,
-            npieces: pieces,
-            nrows,
-            range,
-            r2,
-        };
-        for &(i, j) in chunk {
-            walk.walk(i as usize, j as usize);
-        }
-        walk.out
-    });
+    let cert = {
+        let _s = spans.span("audit.certify");
+        let cert = certify(&layout, &links, workers);
+        spans.counter_add("audit.links_walked", cert.links_walked as u64);
+        spans.counter_add("audit.tree_builds", cert.builds as u64);
+        spans.counter_add(
+            "audit.certified_pieces",
+            (pieces - cert.uncertified.len()) as u64,
+        );
+        cert
+    };
 
-    // ------------------------------------------------------------------
-    // Global event axis: the edge set changes only at crossing instants
-    // (plus exact-at-a-row status flips, which the walker reports
-    // explicitly), so one check instant inside each open interval
-    // between consecutive events certifies the whole timeline.
-    // ------------------------------------------------------------------
-    let mut events: Vec<f64> = Vec::new();
-    for o in &outs {
-        events.extend(o.events.iter().copied().filter(|&e| e > t0 && e < t1));
-    }
-    events.sort_by(f64::total_cmp);
-    events.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
-
-    let mids: Vec<f64> = (0..=events.len())
-        .map(|k| {
-            let lo = if k == 0 { t0 } else { events[k - 1] };
-            let hi = events.get(k).copied().unwrap_or(t1);
-            0.5 * (lo + hi)
+    // A link is preserved iff its lifetime from row 0 reaches the last
+    // row; only the broken ones are walked exactly, in link order.
+    let violations: Vec<LinkViolation> = {
+        let _s = spans.span("audit.violations");
+        let broken: Vec<(usize, usize)> = links
+            .iter()
+            .zip(&cert.initial_lifetimes)
+            .filter(|&(_, &life)| life < pieces)
+            .map(|(&link, _)| link)
+            .collect();
+        spans.counter_add("audit.broken_links", broken.len() as u64);
+        anr_par::par_chunks(&broken, 256, workers, |chunk| {
+            chunk
+                .iter()
+                .map(|&(i, j)| layout.violation(i, j))
+                .collect::<Vec<_>>()
         })
-        .collect();
-    let connectivity_checks = mids.len();
+        .concat()
+    };
 
-    // Maximal in-range spans mapped to interval-index runs.
-    let spans: Vec<(u32, u32, u32, u32)> = outs
-        .iter()
-        .flat_map(|o| o.spans.iter())
-        .filter_map(|&(i, j, elo, ehi)| {
-            let a = mids.partition_point(|&m| m < elo);
-            let b = mids.partition_point(|&m| m <= ehi);
-            (a < b).then(|| (i, j, a as u32, (b - 1) as u32))
-        })
-        .collect();
-
-    let bad = if n > 1 {
-        disconnected_leaves_par(n, mids.len(), &spans, workers)
-    } else {
-        Vec::new()
+    let sweeps = {
+        let _s = spans.span("audit.fallback");
+        let sweeps = anr_par::par_map(&cert.uncertified, workers, |&k| layout.sweep_piece(k));
+        spans.counter_add("audit.fallback_pieces", sweeps.len() as u64);
+        spans.counter_add(
+            "audit.fallback_events",
+            sweeps.iter().map(|s| s.events).sum::<usize>() as u64,
+        );
+        sweeps
     };
     let mut disconnected_intervals: Vec<(f64, f64)> = Vec::new();
-    for k in bad {
-        let lo = if k == 0 { t0 } else { events[k - 1] };
-        let hi = events.get(k).copied().unwrap_or(t1);
-        merge_interval(&mut disconnected_intervals, (lo, hi));
+    for &iv in sweeps.iter().flat_map(|s| &s.disconnected) {
+        merge_interval(&mut disconnected_intervals, iv);
     }
     for &(lo, hi) in &disconnected_intervals {
-        tracer.event(
+        log.event(
             "audit_disconnect",
             &[("s_lo", TraceValue::F64(lo)), ("s_hi", TraceValue::F64(hi))],
         );
     }
-
-    // ------------------------------------------------------------------
-    // Violations: a violating link is exactly an initial link whose
-    // in-range spans fail to cover [t0, t1] (d² is convex per piece, so
-    // any excursion beyond range shows up as a span gap). The walker
-    // already reported each one with its first out-of-range interval
-    // and its row-maximum distance; records are sorted by pair, so the
-    // link loop below keeps the initial-graph link order.
-    // ------------------------------------------------------------------
-    let mut vio: Vec<(u32, u32, f64, f64, f64)> = Vec::new();
-    for o in &outs {
-        vio.extend(o.violations.iter().copied());
-    }
-    let mut violations = Vec::new();
-    for &(i, j) in &links {
-        let Ok(k) = vio.binary_search_by(|v| (v.0 as usize, v.1 as usize).cmp(&(i, j))) else {
-            continue;
-        };
-        let (_, _, lo, hi, max_distance) = vio[k];
-        let interval = (lo, hi);
-        tracer.event(
+    for v in &violations {
+        log.event(
             "audit_violation",
             &[
-                ("i", TraceValue::U64(i as u64)),
-                ("j", TraceValue::U64(j as u64)),
-                ("s_lo", TraceValue::F64(interval.0)),
-                ("s_hi", TraceValue::F64(interval.1)),
-                ("max_distance", TraceValue::F64(max_distance)),
+                ("i", TraceValue::U64(v.link.0 as u64)),
+                ("j", TraceValue::U64(v.link.1 as u64)),
+                ("s_lo", TraceValue::F64(v.interval.0)),
+                ("s_hi", TraceValue::F64(v.interval.1)),
+                ("max_distance", TraceValue::F64(v.max_distance)),
             ],
         );
-        violations.push(LinkViolation {
-            link: (i, j),
-            interval,
-            max_distance,
-        });
     }
+
     let preserved_links = initial_links - violations.len();
     let stable_link_ratio = if initial_links == 0 {
         1.0
     } else {
         preserved_links as f64 / initial_links as f64
     };
-
     let report = AuditReport {
         robots: n,
         initial_links,
@@ -433,9 +320,10 @@ pub fn audit_piecewise_with_workers(
         violations,
         disconnected_intervals,
         pieces,
-        connectivity_checks,
+        certified_pieces: pieces - cert.uncertified.len(),
+        connectivity_checks: cert.builds + sweeps.iter().map(|s| s.checks).sum::<usize>(),
     };
-    trace_summary(tracer, &report);
+    trace_summary(log, &report);
     Ok(report)
 }
 
@@ -461,6 +349,10 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
                 TraceValue::U64(u64::from(report.global_connectivity)),
             ),
             (
+                "certified_pieces",
+                TraceValue::U64(report.certified_pieces as u64),
+            ),
+            (
                 "connectivity_checks",
                 TraceValue::U64(report.connectivity_checks as u64),
             ),
@@ -468,170 +360,284 @@ fn trace_summary(tracer: &Tracer, report: &AuditReport) {
     );
 }
 
-/// Candidate-pair scan output, all values on the global time axis.
-struct PairScan {
-    /// Edge-set change instants (crossing roots plus exact-at-a-row
-    /// status flips), unsorted, possibly including the timeline bounds.
-    events: Vec<f64>,
-    /// Maximal closed in-range intervals, grouped by pair and
-    /// time-sorted within a pair.
-    spans: Vec<(u32, u32, f64, f64)>,
-    /// `(i, j, out_lo, out_hi, max_distance)` for every walked pair
-    /// that was in range at `times[0]` but not for the whole timeline,
-    /// sorted by pair.
-    violations: Vec<(u32, u32, f64, f64, f64)>,
+/// What the spanning-tree certificate settled.
+struct Certificate {
+    /// Lifetime from row 0 of each initial link, in link order.
+    initial_lifetimes: Vec<usize>,
+    /// Pieces no spanning tree certified, ascending.
+    uncertified: Vec<usize>,
+    /// Spanning-tree builds (one per row a build started at).
+    builds: usize,
+    /// Links whose lifetime was walked, summed over builds.
+    links_walked: usize,
 }
 
-/// Marks every pair that can come within range during pieces
-/// `k0 .. k0 + npieces` in a bitset (`bit i·n + j`): the pair must start
-/// the epoch within `range + 2·(max per-robot deviation over the
-/// epoch)`, and the uniform grid enumerates exactly those starts.
-fn discover_epoch(
-    rows: &[Vec<Point>],
-    k0: usize,
-    npieces: usize,
-    range: f64,
-    words: usize,
-    cum: &[f64],
-    nrows: usize,
-) -> Vec<u64> {
-    let n = rows[0].len();
-    let mut move_max = 0.0f64;
-    for i in 0..n {
-        let base = i * nrows;
-        move_max = move_max.max(cum[base + k0 + npieces] - cum[base + k0]);
-    }
-    let cutoff = range + 2.0 * move_max;
-    let mut bits = vec![0u64; words];
-    for_each_near_pair(&rows[k0], cutoff, &mut |i, j| {
-        let idx = i * n + j;
-        bits[idx >> 6] |= 1 << (idx & 63);
-    });
-    bits
-}
-
-/// Walks one candidate pair down the whole timeline.
+/// Certifies pieces with maximum-lifetime spanning trees. A build at row
+/// `r` takes the links in range there, walks their lifetimes and runs
+/// Kruskal; a spanning tree whose shortest edge lifetime is `k ≥ 1`
+/// certifies pieces `r .. r + k`, and the next build starts at `r + k`.
+/// Otherwise piece `r` is left to the exact sweep.
 ///
-/// Positions and per-robot cumulative displacements are flattened into
-/// robot-major arrays (`arr[i * nrows + r]`), so the walk touches two
-/// contiguous stripes. It skips runs of pieces in `O(log)` whenever the
-/// pair's distance to the range circle exceeds what the two robots'
-/// remaining displacement can close.
-struct PairWalk<'a> {
-    out: PairScan,
-    px: &'a [f64],
-    py: &'a [f64],
-    cum: &'a [f64],
+/// Piece `r` is certifiable iff the links in range at both its rows span
+/// the swarm, so a walk only needs to reach as far as the tree can be
+/// used. The first build walks whole lifetimes (`L` needs them); later
+/// ones stop after twice the previous tree's lifetime, or after one row
+/// following a failed build. Consecutive failures send a doubling run of
+/// pieces (at most `MAX_SKIP`) straight to the exact sweep: in a
+/// disconnected stretch a build costs more than the sweep it would
+/// spare.
+fn certify(layout: &Layout, initial_links: &[(usize, usize)], workers: usize) -> Certificate {
+    /// Longest run of pieces a failed build hands to the exact sweep.
+    const MAX_SKIP: usize = 16;
+    let pieces = layout.nrows - 1;
+    let mut horizon = pieces;
+    let mut skip = 1;
+    let no_reach = vec![0.0; layout.n];
+    let mut cert = Certificate {
+        initial_lifetimes: Vec::new(),
+        uncertified: Vec::new(),
+        builds: 0,
+        links_walked: 0,
+    };
+    let mut r = 0;
+    while r < pieces {
+        let row_links = if r == 0 {
+            initial_links.to_vec()
+        } else {
+            let mut v = Vec::new();
+            for_each_pair_within(&layout.rows[r], &no_reach, layout.range, &mut |i, j| {
+                v.push((i, j))
+            });
+            v
+        };
+        let until = r + horizon.min(pieces - r);
+        let lifetimes = anr_par::par_chunks(&row_links, 2048, workers, |chunk| {
+            chunk
+                .iter()
+                .map(|&(i, j)| layout.lifetime(i, j, r, until))
+                .collect::<Vec<_>>()
+        })
+        .concat();
+        cert.builds += 1;
+        cert.links_walked += row_links.len();
+        match bottleneck(layout.n, &row_links, &lifetimes, until - r) {
+            Some(k) if k > 0 => {
+                r += k;
+                horizon = 2 * k;
+                skip = 1;
+            }
+            _ => {
+                let end = (r + skip).min(pieces);
+                cert.uncertified.extend(r..end);
+                r = end;
+                horizon = 1;
+                skip = (2 * skip).min(MAX_SKIP);
+            }
+        }
+        if cert.builds == 1 {
+            cert.initial_lifetimes = lifetimes;
+        }
+    }
+    cert
+}
+
+/// Kruskal over `links`, longest `lifetimes` first: the smallest edge
+/// lifetime of a maximum-bottleneck spanning tree (the same for every
+/// such tree, so ties need no order), or `None` when the links do not
+/// connect all `n` robots. Fewer than two robots are spanned by the
+/// empty tree, which lasts the whole walked `horizon`.
+fn bottleneck(
+    n: usize,
+    links: &[(usize, usize)],
+    lifetimes: &[usize],
+    horizon: usize,
+) -> Option<usize> {
+    let mut uf = UnionFind::new(n);
+    if uf.num_sets() <= 1 {
+        return Some(horizon);
+    }
+    let mut order: Vec<(usize, usize, usize)> = links
+        .iter()
+        .zip(lifetimes)
+        .map(|(&(i, j), &life)| (life, i, j))
+        .collect();
+    order.sort_unstable_by_key(|&(life, _, _)| std::cmp::Reverse(life));
+    order
+        .into_iter()
+        .find(|&(_, i, j)| uf.union(i, j) && uf.num_sets() == 1)
+        .map(|(life, _, _)| life)
+}
+
+/// One uncertified piece's exact sweep.
+struct PieceSweep {
+    /// Check instants examined (open intervals between events).
+    checks: usize,
+    /// Distinct range-crossing events strictly inside the piece.
+    events: usize,
+    /// Disconnected open intervals, in time order.
+    disconnected: Vec<(f64, f64)>,
+}
+
+/// A timeline plus a robot-major copy (`arr[i * nrows + r]`) of its
+/// positions and deviation prefix, so a pair's walk down the rows reads
+/// contiguous stripes.
+struct Layout<'a> {
+    rows: &'a [Vec<Point>],
+    pos: Vec<Point>,
     times: &'a [f64],
-    npieces: usize,
+    n: usize,
     nrows: usize,
     range: f64,
     r2: f64,
+    /// Deviation prefix: the distance a robot moved relative to the
+    /// swarm's mean motion, up to each row. A pair's distance changes by
+    /// at most the sum of its two robots' deviations.
+    cum: Vec<f64>,
+    /// The swarm's mean displacement on each piece.
+    mean: Vec<(f64, f64)>,
 }
 
-impl PairWalk<'_> {
-    fn emit(&mut self, i: usize, j: usize, s_lo: f64, s_hi: f64) {
-        self.out.spans.push((i as u32, j as u32, s_lo, s_hi));
+impl<'a> Layout<'a> {
+    fn new(rows: &'a [Vec<Point>], times: &'a [f64], range: f64) -> Self {
+        let (n, nrows) = (rows[0].len(), rows.len());
+        let inv_n = 1.0 / n as f64;
+        let mean: Vec<(f64, f64)> = rows
+            .windows(2)
+            .map(|w| {
+                let (mut sx, mut sy) = (0.0f64, 0.0f64);
+                for (p, q) in w[0].iter().zip(&w[1]) {
+                    sx += q.x - p.x;
+                    sy += q.y - p.y;
+                }
+                (sx * inv_n, sy * inv_n)
+            })
+            .collect();
+        // Blocked transpose: a few robots at a time, so every row is read
+        // in short contiguous runs and every stripe is written in order.
+        const BLOCK: usize = 8;
+        let mut pos = vec![Point::ORIGIN; n * nrows];
+        let mut cum = vec![0.0f64; n * nrows];
+        for i0 in (0..n).step_by(BLOCK) {
+            let i1 = (i0 + BLOCK).min(n);
+            for (r, row) in rows.iter().enumerate() {
+                for (i, &p) in (i0..i1).zip(&row[i0..i1]) {
+                    let at = i * nrows + r;
+                    pos[at] = p;
+                    if r > 0 {
+                        let (mx, my) = mean[r - 1];
+                        let prev = pos[at - 1];
+                        let (dx, dy) = (p.x - prev.x - mx, p.y - prev.y - my);
+                        cum[at] = cum[at - 1] + (dx * dx + dy * dy).sqrt();
+                    }
+                }
+            }
+        }
+        Layout {
+            rows,
+            pos,
+            times,
+            n,
+            nrows,
+            range,
+            r2: range * range,
+            cum,
+            mean,
+        }
     }
 
-    fn walk(&mut self, i: usize, j: usize) {
+    /// Relative position of robots `i` and `j` at row `r`.
+    #[inline]
+    fn rel(&self, i: usize, j: usize, r: usize) -> (f64, f64) {
+        let (p, q) = (self.pos[i * self.nrows + r], self.pos[j * self.nrows + r]);
+        (p.x - q.x, p.y - q.y)
+    }
+
+    /// How far the pair's distance at row `r` is from the range circle,
+    /// less a small relative margin so a rounding wobble in the bound can
+    /// never skip over a genuine grazing crossing.
+    #[inline]
+    fn gap(&self, (dx, dy): (f64, f64)) -> f64 {
+        let dist = (dx * dx + dy * dy).sqrt();
+        (dist - self.range).abs() - 1e-9 * (dist + self.range)
+    }
+
+    /// The farthest row `q` in `r..=last` up to which the pair's combined
+    /// deviation since row `r` stays below `gap` (gallop, then bisect —
+    /// the bound is monotone). Its distance cannot cross the range circle
+    /// on the rows between.
+    fn safe_until(&self, i: usize, j: usize, r: usize, gap: f64, last: usize) -> usize {
         let (bi, bj) = (i * self.nrows, j * self.nrows);
-        let start_idx = self.out.spans.len();
-        let d2 = {
-            let dx = self.px[bi] - self.px[bj];
-            let dy = self.py[bi] - self.py[bj];
-            dx * dx + dy * dy
-        };
-        let initial_in = d2 <= self.r2;
-        let mut prev_in = initial_in;
-        let mut open: Option<f64> = prev_in.then(|| self.times[0]);
-
-        let mut r = 0usize;
-        while r < self.npieces {
-            let dx = self.px[bi + r] - self.px[bj + r];
-            let dy = self.py[bi + r] - self.py[bj + r];
-            let dist = (dx * dx + dy * dy).sqrt();
-            // Small relative margin so a rounding wobble in the bound
-            // can never skip over a genuine grazing crossing.
-            let gap = (dist - self.range).abs() - 1e-9 * (dist + self.range);
-            if gap > 0.0 {
-                // Skip every piece the pair provably cannot cross: their
-                // combined displacement bound is monotone, so gallop then
-                // bisect for the farthest safe row.
-                let c0 = self.cum[bi + r] + self.cum[bj + r];
-                if self.cum[bi + r + 1] + self.cum[bj + r + 1] - c0 < gap {
-                    let mut q = r + 1;
-                    let mut step = 1usize;
-                    while q + step <= self.npieces
-                        && self.cum[bi + q + step] + self.cum[bj + q + step] - c0 < gap
-                    {
-                        q += step;
-                        step *= 2;
-                    }
-                    let mut hi = (q + step).min(self.npieces);
-                    while q < hi {
-                        let m = q + (hi - q).div_ceil(2);
-                        if self.cum[bi + m] + self.cum[bj + m] - c0 < gap {
-                            q = m;
-                        } else {
-                            hi = m - 1;
-                        }
-                    }
-                    r = q;
-                    continue;
-                }
-            }
-
-            // Exact quadratic on piece r.
-            let ux = dx;
-            let uy = dy;
-            let wx = (self.px[bi + r + 1] - self.px[bj + r + 1]) - ux;
-            let wy = (self.py[bi + r + 1] - self.py[bj + r + 1]) - uy;
-            let (qa, qb, qc) = (
-                wx * wx + wy * wy,
-                ux * wx + uy * wy,
-                ux * ux + uy * uy - self.r2,
-            );
-            let piece_lo = self.times[r];
-            let piece_hi = self.times[r + 1];
-            let span_w = piece_hi - piece_lo;
-            let mut iv: Option<(f64, f64)> = None;
-            if qa <= 0.0 {
-                if qc <= 0.0 {
-                    iv = Some((0.0, 1.0));
-                }
+        let dev = |q: usize| self.cum[bi + q] + self.cum[bj + q];
+        let c0 = dev(r);
+        let within = |q: usize| dev(q) - c0 < gap;
+        if r == last || !within(r + 1) {
+            return r;
+        }
+        let mut q = r + 1;
+        let mut step = 1usize;
+        while q + step <= last && within(q + step) {
+            q += step;
+            step *= 2;
+        }
+        let mut hi = (q + step).min(last);
+        while q < hi {
+            let m = q + (hi - q).div_ceil(2);
+            if within(m) {
+                q = m;
             } else {
-                let disc = qb * qb - qa * qc;
-                if disc <= 0.0 {
-                    if qc <= 0.0 {
-                        iv = Some((0.0, 1.0));
-                    }
-                } else {
-                    let sq = disc.sqrt();
-                    let (root1, root2) = ((-qb - sq) / qa, (-qb + sq) / qa);
-                    if root2 > 0.0 && root1 < 1.0 {
-                        for root in [root1, root2] {
-                            if root > 0.0 && root < 1.0 {
-                                self.out.events.push(piece_lo + root * span_w);
-                            }
-                        }
-                        let (lo, hi) = (root1.max(0.0), root2.min(1.0));
-                        if hi > lo {
-                            iv = Some((lo, hi));
-                        }
-                    }
-                }
+                hi = m - 1;
             }
+        }
+        q
+    }
 
-            // A status flip exactly at the row instant has no interior
-            // root; the global axis still needs the event (the old
-            // per-piece interval axis restarted at every row).
+    /// Lifetime of link `(i, j)`, in range at row `r`: how many of the
+    /// following rows up to `until` it stays in range at, consecutively.
+    fn lifetime(&self, i: usize, j: usize, r: usize, until: usize) -> usize {
+        let mut q = r;
+        while q < until {
+            let far = self.safe_until(i, j, q, self.gap(self.rel(i, j, q)), until);
+            if far > q {
+                q = far;
+                continue;
+            }
+            let (dx, dy) = self.rel(i, j, q + 1);
+            if dx * dx + dy * dy > self.r2 {
+                break;
+            }
+            q += 1;
+        }
+        q - r
+    }
+
+    /// The exact violation record of initial link `(i, j)`, known to
+    /// leave range: its in-range spans from the crossing roots, piece by
+    /// piece (skipping runs it provably stays inside), give the first
+    /// out-of-range interval; `d` is convex per piece, so the maximum
+    /// over the rows is the exact maximum over all time.
+    fn violation(&self, i: usize, j: usize) -> LinkViolation {
+        let npieces = self.nrows - 1;
+        let (t0, t1) = (self.times[0], self.times[npieces]);
+        let mut spans: Vec<(f64, f64)> = Vec::new();
+        let mut prev_in = true;
+        let mut open = Some(t0);
+        let mut r = 0usize;
+        while r < npieces {
+            let (ux, uy) = self.rel(i, j, r);
+            let skip = self.safe_until(i, j, r, self.gap((ux, uy)), npieces);
+            if skip > r {
+                r = skip;
+                continue;
+            }
+            let (vx, vy) = self.rel(i, j, r + 1);
+            let iv = in_range_interval((ux, uy), (vx - ux, vy - uy), self.r2);
+            let piece_lo = self.times[r];
+            let span_w = self.times[r + 1] - piece_lo;
+            // A status flip exactly at the row instant has no interior root.
             let in_start = matches!(iv, Some((lo, _)) if lo == 0.0);
             if in_start != prev_in {
-                self.out.events.push(piece_lo);
                 if prev_in {
-                    let s0 = open.take().unwrap_or(piece_lo);
-                    self.emit(i, j, s0, piece_lo);
+                    spans.push((open.take().unwrap_or(piece_lo), piece_lo));
                 } else {
                     open = Some(piece_lo);
                 }
@@ -643,8 +649,7 @@ impl PairWalk<'_> {
                         open = Some(piece_lo + lo * span_w);
                     }
                     if hi < 1.0 {
-                        let s0 = open.take().unwrap_or(piece_lo);
-                        self.emit(i, j, s0, piece_lo + hi * span_w);
+                        spans.push((open.take().unwrap_or(piece_lo), piece_lo + hi * span_w));
                         prev_in = false;
                     } else {
                         prev_in = true;
@@ -654,42 +659,119 @@ impl PairWalk<'_> {
             r += 1;
         }
         if let Some(s0) = open {
-            let end = self.times[self.npieces];
-            self.emit(i, j, s0, end);
+            spans.push((s0, t1));
         }
-
-        // An initial link whose spans don't cover the timeline broke:
-        // report its first out-of-range interval plus its maximum
-        // distance (d is convex per piece, so the max over the rows of
-        // the pair's stripes is the exact maximum over all time).
-        if initial_in {
-            let (t0, t1) = (self.times[0], self.times[self.npieces]);
-            let spans = &self.out.spans[start_idx..];
-            let fully = spans.len() == 1 && spans[0].2 == t0 && spans[0].3 == t1;
-            if !fully {
-                let interval = first_out_from_spans(spans, t0, t1);
-                let mut m = 0.0f64;
-                for r in 0..self.nrows {
-                    let dx = self.px[bi + r] - self.px[bj + r];
-                    let dy = self.py[bi + r] - self.py[bj + r];
-                    m = m.max(dx * dx + dy * dy);
-                }
-                self.out
-                    .violations
-                    .push((i as u32, j as u32, interval.0, interval.1, m.sqrt()));
-            }
+        let mut m = 0.0f64;
+        for r in 0..self.nrows {
+            let (dx, dy) = self.rel(i, j, r);
+            m = m.max(dx * dx + dy * dy);
+        }
+        LinkViolation {
+            link: (i, j),
+            interval: first_out_from_spans(&spans, t0, t1),
+            max_distance: m.sqrt(),
         }
     }
+
+    /// The exact sweep of piece `k`: every pair that can come within
+    /// range, its in-range interval from the roots, and one connectivity
+    /// check per open interval between consecutive roots.
+    fn sweep_piece(&self, k: usize) -> PieceSweep {
+        let (piece_lo, piece_hi) = (self.times[k], self.times[k + 1]);
+        let span_w = piece_hi - piece_lo;
+        let (mx, my) = self.mean[k];
+        // A robot's reach: its deviation from the mean motion over the
+        // piece, plus a margin against rounding in the cutoff.
+        let (start, end) = (&self.rows[k], &self.rows[k + 1]);
+        let reach: Vec<f64> = start
+            .iter()
+            .zip(end)
+            .map(|(p, q)| {
+                let (dx, dy) = (q.x - p.x - mx, q.y - p.y - my);
+                (dx * dx + dy * dy).sqrt() + 1e-9 * self.range
+            })
+            .collect();
+        let mut events: Vec<f64> = Vec::new();
+        let mut spans: Vec<(u32, u32, f64, f64)> = Vec::new();
+        for_each_pair_within(start, &reach, self.range, &mut |i, j| {
+            let (ux, uy) = self.rel(i, j, k);
+            let (vx, vy) = self.rel(i, j, k + 1);
+            if let Some((lo, hi)) = in_range_interval((ux, uy), (vx - ux, vy - uy), self.r2) {
+                let mut at = |tau: f64, bound: f64| {
+                    if tau > 0.0 && tau < 1.0 {
+                        let e = piece_lo + tau * span_w;
+                        events.push(e);
+                        e
+                    } else {
+                        bound
+                    }
+                };
+                let s_lo = at(lo, piece_lo);
+                let s_hi = at(hi, piece_hi);
+                spans.push((i as u32, j as u32, s_lo, s_hi));
+            }
+        });
+        events.retain(|&e| e > piece_lo && e < piece_hi);
+        events.sort_by(f64::total_cmp);
+        events.dedup_by(|x, y| (*x - *y).abs() < 1e-12);
+
+        let bound = |b: usize| -> f64 {
+            match b {
+                0 => piece_lo,
+                b if b > events.len() => piece_hi,
+                b => events[b - 1],
+            }
+        };
+        let mids: Vec<f64> = (0..=events.len())
+            .map(|b| 0.5 * (bound(b) + bound(b + 1)))
+            .collect();
+        let leaf_spans: Vec<(u32, u32, u32, u32)> = spans
+            .iter()
+            .filter_map(|&(i, j, elo, ehi)| {
+                let a = mids.partition_point(|&m| m < elo);
+                let b = mids.partition_point(|&m| m <= ehi);
+                (a < b).then(|| (i, j, a as u32, (b - 1) as u32))
+            })
+            .collect();
+        let mut bad = Vec::new();
+        let mut uf = RollbackUnionFind::new(self.n);
+        disconnected_leaves(0, mids.len() - 1, &leaf_spans, &mut uf, &mut bad);
+        let mut disconnected = Vec::new();
+        for b in bad {
+            merge_interval(&mut disconnected, (bound(b), bound(b + 1)));
+        }
+        PieceSweep {
+            checks: mids.len(),
+            events: events.len(),
+            disconnected,
+        }
+    }
+}
+
+/// The closed sub-interval of piece-local time `τ ∈ [0, 1]` on which a
+/// pair at relative position `u` at the piece start, displaced by `w`
+/// over the piece, is within range: `d²(τ) ≤ r²` holds between the
+/// roots of the convex quadratic. `None` when it never is.
+fn in_range_interval((ux, uy): (f64, f64), (wx, wy): (f64, f64), r2: f64) -> Option<(f64, f64)> {
+    let (qa, qb, qc) = (wx * wx + wy * wy, ux * wx + uy * wy, ux * ux + uy * uy - r2);
+    let disc = qb * qb - qa * qc;
+    if qa <= 0.0 || disc <= 0.0 {
+        return (qc <= 0.0).then_some((0.0, 1.0));
+    }
+    let sq = disc.sqrt();
+    let (root1, root2) = ((-qb - sq) / qa, (-qb + sq) / qa);
+    let (lo, hi) = (root1.max(0.0), root2.min(1.0));
+    (root2 > 0.0 && root1 < 1.0 && hi > lo).then_some((lo, hi))
 }
 
 /// First maximal out-of-range interval of a link given its in-range
 /// spans over `[t0, t1]` (time-sorted): the complement's first run,
 /// with in-range gaps ≤ 1e-12 bridged. Degenerate `(t0, t0)` when the
 /// link only grazes out of range at isolated instants.
-fn first_out_from_spans(in_spans: &[(u32, u32, f64, f64)], t0: f64, t1: f64) -> (f64, f64) {
+fn first_out_from_spans(in_spans: &[(f64, f64)], t0: f64, t1: f64) -> (f64, f64) {
     let mut outs: Vec<(f64, f64)> = Vec::new();
     let mut cursor = t0;
-    for &(_, _, lo, hi) in in_spans {
+    for &(lo, hi) in in_spans {
         if lo > cursor {
             outs.push((cursor, lo));
         }
@@ -751,127 +833,56 @@ fn validate(rows: &[Vec<Point>], times: &[f64], range: f64) -> Result<(), Metric
 }
 
 /// Calls `f(i, j)` (with `i < j`) exactly once for every pair of points
-/// within `cutoff` of each other — and possibly for some farther pairs,
-/// which the callback must re-filter. Uniform grid with `cutoff`-sized
-/// cells: near pairs share a cell or sit in 8-adjacent cells, and each
-/// unordered cell pair is enumerated once via a forward
-/// half-neighborhood. `O(n + near pairs)` instead of `O(n²)`; iteration
-/// order is unspecified.
-fn for_each_near_pair(points: &[Point], cutoff: f64, f: &mut impl FnMut(usize, usize)) {
-    debug_assert!(cutoff > 0.0 && cutoff.is_finite());
-    let inv = 1.0 / cutoff;
-    let mut cells: BTreeMap<(i64, i64), Vec<u32>> = BTreeMap::new();
-    for (k, p) in points.iter().enumerate() {
-        let key = ((p.x * inv).floor() as i64, (p.y * inv).floor() as i64);
-        cells.entry(key).or_default().push(k as u32);
+/// with `‖pᵢ − pⱼ‖ ≤ range + reach[i] + reach[j]`, in a deterministic
+/// order. Uniform grid (points sorted by cell) with cells sized for the
+/// median reach; each pair is found from its robot with the larger
+/// `(reach, index)`, whose search square of half-width `range + 2·reach`
+/// covers it, so one far-reaching robot widens only its own search.
+/// `O(n log n + pairs)` instead of `O(n²)` while reaches stay bounded.
+fn for_each_pair_within(
+    points: &[Point],
+    reach: &[f64],
+    range: f64,
+    f: &mut impl FnMut(usize, usize),
+) {
+    if points.len() < 2 {
+        return;
     }
-    const FWD: [(i64, i64); 4] = [(1, -1), (1, 0), (1, 1), (0, 1)];
-    for (&(cx, cy), members) in &cells {
-        for (s, &i) in members.iter().enumerate() {
-            for &j in &members[s + 1..] {
-                f(i.min(j) as usize, i.max(j) as usize);
-            }
-        }
-        for (dx, dy) in FWD {
-            if let Some(other) = cells.get(&(cx.saturating_add(dx), cy.saturating_add(dy))) {
-                for &i in members {
-                    for &j in other {
-                        f(i.min(j) as usize, i.max(j) as usize);
+    let mut sorted = reach.to_vec();
+    let mid = sorted.len() / 2;
+    let (_, &mut median, _) = sorted.select_nth_unstable_by(mid, f64::total_cmp);
+    let cell = range + 2.0 * median;
+    let inv = 1.0 / cell;
+    let key = |p: Point| ((p.x * inv).floor() as i64, (p.y * inv).floor() as i64);
+    let mut cells: Vec<((i64, i64), u32)> = points
+        .iter()
+        .enumerate()
+        .map(|(k, &p)| (key(p), k as u32))
+        .collect();
+    cells.sort_unstable();
+    let (x_min, x_max) = (cells[0].0 .0, cells[cells.len() - 1].0 .0);
+    for (i, &p) in points.iter().enumerate() {
+        let (cx, cy) = key(p);
+        let span = range + 2.0 * reach[i];
+        let ext = if span <= cell {
+            1
+        } else {
+            (span * inv).ceil() as i64
+        };
+        let (ylo, yhi) = (cy.saturating_sub(ext), cy.saturating_add(ext));
+        for x in cx.saturating_sub(ext).max(x_min)..=cx.saturating_add(ext).min(x_max) {
+            let from = cells.partition_point(|&(c, _)| c < (x, ylo));
+            for &(_, j) in cells[from..].iter().take_while(|&&(c, _)| c <= (x, yhi)) {
+                let j = j as usize;
+                if reach[j] < reach[i] || (reach[j] == reach[i] && j < i) {
+                    let cutoff = range + reach[i] + reach[j];
+                    if p.distance_sq(points[j]) <= cutoff * cutoff {
+                        f(j.min(i), j.max(i));
                     }
                 }
             }
         }
     }
-}
-
-/// Offline dynamic connectivity over the global interval axis, fanned
-/// out over [`anr_par`]: the recursion's independent subtrees are cut
-/// off at a fixed depth (worker-count independent) into tasks, each
-/// carrying the edges that fully cover its subtree (the unions its
-/// ancestors would have applied). Each task replays those unions into a
-/// fresh rollback union-find and runs the serial recursion; leaf
-/// indices concatenate back in axis order.
-fn disconnected_leaves_par(
-    n: usize,
-    num_leaves: usize,
-    spans: &[(u32, u32, u32, u32)],
-    workers: usize,
-) -> Vec<usize> {
-    struct Task {
-        k_lo: usize,
-        k_hi: usize,
-        spans: Vec<(u32, u32, u32, u32)>,
-        path: Vec<(u32, u32)>,
-    }
-    fn split(
-        k_lo: usize,
-        k_hi: usize,
-        spans: Vec<(u32, u32, u32, u32)>,
-        path: Vec<(u32, u32)>,
-        depth: usize,
-        uf: &mut RollbackUnionFind,
-        tasks: &mut Vec<Task>,
-    ) {
-        if depth == 0 || k_lo == k_hi {
-            tasks.push(Task {
-                k_lo,
-                k_hi,
-                spans,
-                path,
-            });
-            return;
-        }
-        let mark = uf.checkpoint();
-        let mid = k_lo + (k_hi - k_lo) / 2;
-        let mut covering = path;
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for &(i, j, a, b) in &spans {
-            if a as usize <= k_lo && k_hi <= b as usize {
-                covering.push((i, j));
-                uf.union(i as usize, j as usize);
-            } else {
-                if a as usize <= mid {
-                    left.push((i, j, a, b));
-                }
-                if b as usize > mid {
-                    right.push((i, j, a, b));
-                }
-            }
-        }
-        // The covering edges alone already connect the graph: every
-        // leaf below only gains edges, so the whole subtree is clean.
-        if uf.num_sets() == 1 {
-            uf.rollback(mark);
-            return;
-        }
-        split(k_lo, mid, left, covering.clone(), depth - 1, uf, tasks);
-        split(mid + 1, k_hi, right, covering, depth - 1, uf, tasks);
-        uf.rollback(mark);
-    }
-
-    let mut tasks = Vec::new();
-    let depth = if num_leaves >= 64 { 4 } else { 0 };
-    let mut uf0 = RollbackUnionFind::new(n);
-    split(
-        0,
-        num_leaves - 1,
-        spans.to_vec(),
-        Vec::new(),
-        depth,
-        &mut uf0,
-        &mut tasks,
-    );
-    let results = anr_par::par_map(&tasks, workers, |t| {
-        let mut uf = RollbackUnionFind::new(n);
-        for &(i, j) in &t.path {
-            uf.union(i as usize, j as usize);
-        }
-        let mut out = Vec::new();
-        disconnected_leaves(t.k_lo, t.k_hi, &t.spans, &mut uf, &mut out);
-        out
-    });
-    results.into_iter().flatten().collect()
 }
 
 /// Offline dynamic connectivity over the interval axis `[k_lo, k_hi]`:
@@ -948,9 +959,10 @@ mod tests {
     }
 
     #[test]
-    fn near_pair_grid_covers_all_near_pairs_once() {
+    fn pair_grid_reports_exactly_the_pairs_within_reach() {
         // Deterministic scatter; the grid must report every pair within
-        // the cutoff (farther extras are allowed) and never repeat one.
+        // `range + reach_i + reach_j`, nothing farther, and never repeat
+        // one — with uniform, spread and one far-reaching outlier reach.
         let mut seed = 0xdead_beef_u64;
         let mut next = move || {
             seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
@@ -959,35 +971,153 @@ mod tests {
         let pts: Vec<Point> = (0..200)
             .map(|_| p(next() * 900.0 - 450.0, next() * 900.0 - 450.0))
             .collect();
-        for cutoff in [40.0, 120.0, 2000.0] {
-            let mut got: Vec<(usize, usize)> = Vec::new();
-            for_each_near_pair(&pts, cutoff, &mut |i, j| {
-                assert!(i < j);
-                got.push((i, j));
-            });
-            got.sort_unstable();
-            assert!(
-                got.windows(2).all(|w| w[0] != w[1]),
-                "duplicate pair at cutoff {cutoff}"
-            );
-            let got: std::collections::HashSet<_> = got.into_iter().collect();
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if pts[i].distance(pts[j]) <= cutoff {
-                        assert!(
-                            got.contains(&(i, j)),
-                            "missing near pair ({i}, {j}) at cutoff {cutoff}"
-                        );
+        let spread: Vec<f64> = (0..pts.len()).map(|_| next() * 30.0).collect();
+        let mut outlier = vec![0.0; pts.len()];
+        outlier[17] = 600.0;
+        for range in [40.0, 120.0, 2000.0] {
+            for reach in [&vec![0.0; pts.len()], &spread, &outlier] {
+                let mut got: Vec<(usize, usize)> = Vec::new();
+                for_each_pair_within(&pts, reach, range, &mut |i, j| {
+                    assert!(i < j);
+                    got.push((i, j));
+                });
+                got.sort_unstable();
+                let mut want = Vec::new();
+                for i in 0..pts.len() {
+                    for j in (i + 1)..pts.len() {
+                        if pts[i].distance(pts[j]) <= range + reach[i] + reach[j] {
+                            want.push((i, j));
+                        }
                     }
                 }
+                assert_eq!(got, want, "range {range}");
             }
         }
     }
 
-    /// The grid-pruned scan path (n ≥ 64) must behave exactly like the
-    /// dense one: a rigidly translating 70-robot chain certifies, and an
-    /// endpoint robot detouring out of range mid-piece is caught as both
-    /// a violation and a disconnect.
+    /// Rigid motion is certified by one spanning-tree build, with no
+    /// exact sweep at all.
+    #[test]
+    fn rigid_motion_is_certified_by_one_tree() {
+        let n = 70;
+        let polys: Vec<Polyline> = (0..n)
+            .map(|i| {
+                let x = i as f64 * 50.0;
+                Polyline::new(vec![p(x, 0.0), p(x + 150.0, 90.0), p(x + 300.0, 40.0)])
+            })
+            .collect();
+        let set = TrajectorySet::new(polys);
+        let times = set.sample_times_with_breakpoints(20);
+        let rows = set.sample_at(&times);
+        let r = audit_piecewise(&rows, &times, 80.0, &Tracer::disabled()).unwrap();
+        assert!(r.certified());
+        assert_eq!(r.certified_pieces, r.pieces);
+        assert_eq!(r.connectivity_checks, 1);
+    }
+
+    /// Two stationary 34-robot chains 140 apart, bridged by two relays
+    /// handing over on the middle one of three pieces: rows 0–1 hold the
+    /// `start` relay positions, rows 2–3 the `end` ones.
+    fn relay_handover(start: [Point; 2], end: [Point; 2]) -> Vec<Vec<Point>> {
+        let row = |relays: [Point; 2]| -> Vec<Point> {
+            let mut v: Vec<Point> = (0..34).map(|k| p(-50.0 * k as f64, 0.0)).collect();
+            v.extend((0..34).map(|k| p(140.0 + 50.0 * k as f64, 0.0)));
+            v.extend(relays);
+            v
+        };
+        vec![row(start), row(start), row(end), row(end)]
+    }
+
+    /// Each relay bridges the chains on only part of the middle piece,
+    /// so no spanning tree of links stays up over it: the exact sweep
+    /// must settle that piece. Rising relays overlap (connected
+    /// throughout); sliding relays do not (partition mid-piece).
+    #[test]
+    fn uncertifiable_piece_falls_back_to_the_exact_sweep() {
+        let times = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0];
+        let rising = relay_handover(
+            [p(70.0, 0.0), p(70.0, -45.0)],
+            [p(70.0, 45.0), p(70.0, 0.0)],
+        );
+        let r = audit_piecewise(&rising, &times, 80.0, &Tracer::disabled()).unwrap();
+        assert_eq!(r.global_connectivity, 1);
+        assert_eq!((r.pieces, r.certified_pieces), (3, 2));
+        // Relay 1 leaves both chains.
+        assert_eq!(r.violations.len(), 2);
+
+        let sliding = relay_handover(
+            [p(70.0, 10.0), p(-70.0, 10.0)],
+            [p(210.0, 10.0), p(70.0, 10.0)],
+        );
+        let r = audit_piecewise(&sliding, &times, 80.0, &Tracer::disabled()).unwrap();
+        assert_eq!(r.global_connectivity, 0);
+        assert_eq!((r.pieces, r.certified_pieces), (3, 2));
+        assert_eq!(r.disconnected_intervals.len(), 1);
+        let (lo, hi) = r.disconnected_intervals[0];
+        assert!(times[1] < lo && lo < hi && hi < times[2], "({lo}, {hi})");
+    }
+
+    /// A long disconnected stretch: a second chain approaches from far
+    /// away and docks 40 m above the first, then everything rests. The
+    /// approach pieces cannot be certified (several failed builds in a
+    /// row hand whole runs to the exact sweep), the resting ones can, and
+    /// the partition must end exactly where the chains first come into
+    /// range.
+    #[test]
+    fn long_disconnected_stretch_is_swept_exactly() {
+        let chain = |y: f64| -> Vec<Point> {
+            let mut v: Vec<Point> = (0..35).map(|k| p(-50.0 * k as f64, 0.0)).collect();
+            v.extend((0..35).map(|k| p(-50.0 * k as f64, y)));
+            v
+        };
+        let (approach, rest) = (30, 10);
+        let rows: Vec<Vec<Point>> = (0..=approach + rest)
+            .map(|k| chain(1040.0 - 1000.0 * (k.min(approach) as f64 / approach as f64)))
+            .collect();
+        let times: Vec<f64> = (0..rows.len())
+            .map(|k| k as f64 / (rows.len() - 1) as f64)
+            .collect();
+        let r = audit_piecewise(&rows, &times, 80.0, &Tracer::disabled()).unwrap();
+        assert_eq!(r.global_connectivity, 0);
+        assert!(r.certified_pieces > 0 && r.certified_pieces < r.pieces);
+        // In range once y ≤ 80: 1040 − 1000·s = 80 ⇒ s = 0.96 of the
+        // approach, which spans the first 30 of 40 pieces.
+        let docked = 0.96 * approach as f64 / (approach + rest) as f64;
+        assert_eq!(r.disconnected_intervals.len(), 1);
+        let (lo, hi) = r.disconnected_intervals[0];
+        assert_eq!(lo, 0.0);
+        assert!((hi - docked).abs() < 1e-9, "hi = {hi}, expected {docked}");
+    }
+
+    /// The phase spans and work counters are part of the deterministic
+    /// trace: byte-identical at every worker count.
+    #[test]
+    fn phase_trace_is_identical_across_workers() {
+        let rows = relay_handover(
+            [p(70.0, 10.0), p(-70.0, 10.0)],
+            [p(210.0, 10.0), p(70.0, 10.0)],
+        );
+        let times = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0];
+        let trace = |workers: usize| -> Vec<String> {
+            let tracer = Tracer::ring(1024);
+            audit_piecewise_with_workers(&rows, &times, 80.0, workers, &tracer).unwrap();
+            tracer.events().iter().map(anr_trace::jsonl_line).collect()
+        };
+        let serial = trace(1);
+        for name in ["audit.certify", "audit.fallback_events", "audit_disconnect"] {
+            assert!(
+                serial.iter().any(|line| line.contains(name)),
+                "missing {name}"
+            );
+        }
+        for workers in [2, 8] {
+            assert_eq!(trace(workers), serial, "workers = {workers} diverged");
+        }
+    }
+
+    /// A rigidly translating 70-robot chain certifies, and an endpoint
+    /// robot detouring out of range mid-piece is caught as both a
+    /// violation and a disconnect.
     #[test]
     fn grid_path_large_swarm_audits_exactly() {
         let n = 70;
@@ -1219,7 +1349,7 @@ mod tests {
 
     /// A status flip exactly at a row instant (the peak of a detour
     /// touching the range circle at a breakpoint) must still be audited
-    /// exactly — the global event axis gets an explicit event there.
+    /// exactly.
     #[test]
     fn exact_breakpoint_crossing_is_an_event() {
         // B sits exactly at range 80 at its middle waypoint, then moves

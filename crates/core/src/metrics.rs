@@ -9,7 +9,7 @@
 //! the continuous auditor in [`crate::audit`]. No sampled-instant
 //! approximation remains.
 
-use crate::audit::audit_piecewise;
+use crate::audit::audit_traced;
 use anr_geom::Point;
 use anr_netgraph::UnitDiskGraph;
 use anr_trace::Tracer;
@@ -224,10 +224,11 @@ pub struct TransitionMetrics {
     /// Linear motion pieces the continuous audit decomposed the timeline
     /// into (`samples - 1`, or 0 for a single-row timeline).
     pub audit_pieces: usize,
-    /// Connectivity checks the audit's event sweep performed — one per
-    /// open interval between range-crossing events. Scales with how much
-    /// link churn the motion produced, hence recorded per scenario by the
-    /// pipeline bench.
+    /// Connectivity checks the audit performed: one per spanning-tree
+    /// build, plus one per open interval between range-crossing events on
+    /// the pieces no tree certified (see
+    /// [`AuditReport::connectivity_checks`](crate::AuditReport::connectivity_checks)). A
+    /// marching swarm usually needs one build and no exact sweep.
     pub audit_checks: usize,
 }
 
@@ -253,13 +254,31 @@ pub fn evaluate_timeline(
     range: f64,
     total_distance: f64,
 ) -> Result<TransitionMetrics, MetricsError> {
+    evaluate_timeline_traced(timeline, range, total_distance, &Tracer::disabled())
+}
+
+/// [`evaluate_timeline`] with the audit's phase spans and work counters
+/// (`audit.layout`, `audit.certify`, `audit.violations`,
+/// `audit.fallback`; see [`crate::audit_piecewise_with_workers`])
+/// recorded in `tracer`. The audit's report events (`audit_violation`,
+/// `audit_disconnect`, `audit_summary`) are not: the metrics carry them.
+///
+/// # Errors
+///
+/// See [`evaluate_timeline`].
+pub(crate) fn evaluate_timeline_traced(
+    timeline: &[Vec<Point>],
+    range: f64,
+    total_distance: f64,
+    tracer: &Tracer,
+) -> Result<TransitionMetrics, MetricsError> {
     let times: Vec<f64> = if timeline.len() <= 1 {
         vec![0.0]
     } else {
         let steps = (timeline.len() - 1) as f64;
         (0..timeline.len()).map(|k| k as f64 / steps).collect()
     };
-    let report = audit_piecewise(timeline, &times, range, &Tracer::disabled())?;
+    let report = audit_traced(timeline, &times, range, 0, &Tracer::disabled(), tracer)?;
 
     // New links: present in the final graph but not initially.
     let initial = UnitDiskGraph::new(&timeline[0], range);

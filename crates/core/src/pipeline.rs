@@ -1,8 +1,9 @@
 //! The optimal-marching pipeline (paper Sec. III).
 
+use crate::metrics::evaluate_timeline_traced;
 use crate::{
-    evaluate_timeline, repair_connectivity_strict, MarchConfig, MarchError, MarchProblem,
-    RepairReport, TrajectorySet, TransitionMetrics,
+    repair_connectivity_strict, MarchConfig, MarchError, MarchProblem, RepairReport, TrajectorySet,
+    TransitionMetrics,
 };
 use anr_coverage::{run_lloyd_guarded_traced, GridPartition};
 use anr_geom::Point;
@@ -283,7 +284,7 @@ pub fn march_traced(
     // ------------------------------------------------------------------
     let metrics = {
         let _s = tracer.span("metrics");
-        evaluate_timeline(&timeline, range, total_distance)?
+        evaluate_timeline_traced(&timeline, range, total_distance, tracer)?
     };
 
     Ok(MarchOutcome {
@@ -453,6 +454,25 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "pcg_iter"));
         assert!(events.iter().any(|e| e.name == "rotation_eval"));
         assert!(events.iter().any(|e| e.name == "lloyd_iter"));
+        // The audit's phases nest under `metrics`; its report events stay
+        // in the metrics, out of the march trace.
+        let span_start = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.kind == TraceKind::SpanStart && e.name == name)
+                .unwrap_or_else(|| panic!("missing span {name}"))
+        };
+        let metrics = span_start("metrics").span;
+        for phase in [
+            "audit.layout",
+            "audit.certify",
+            "audit.violations",
+            "audit.fallback",
+        ] {
+            assert_eq!(span_start(phase).parent, metrics, "{phase} outside metrics");
+        }
+        assert!(tracer.counter("audit.tree_builds") >= 1);
+        assert!(!events.iter().any(|e| e.name == "audit_summary"));
         assert_eq!(tracer.dropped(), 0, "ring must hold the whole run");
     }
 

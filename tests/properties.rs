@@ -98,93 +98,161 @@ proptest! {
     }
 }
 
+/// Checks the exact audit of a piecewise-linear timeline against
+/// `samples + 1` evenly spaced instants: everything the dense check can
+/// see must agree with the exact (quadratic-extremum) verdict, and the
+/// exact verdict may only be *stricter* — it catches violations that
+/// slip between samples, never the reverse. Every disconnected sample
+/// must lie in a reported disconnected interval, and every sample well
+/// inside one must be disconnected.
+fn check_against_dense_sampling(
+    rows: &[Vec<Point>],
+    times: &[f64],
+    range: f64,
+    samples: usize,
+) -> Result<(), TestCaseError> {
+    use anr_marching::march::audit_piecewise;
+    use anr_marching::trace::Tracer;
+
+    let n = rows[0].len();
+    let report = audit_piecewise(rows, times, range, &Tracer::disabled()).unwrap();
+
+    let sample_pos = |s: f64| -> Vec<Point> {
+        let seg = times.partition_point(|&t| t <= s).clamp(1, times.len() - 1) - 1;
+        let tau = (s - times[seg]) / (times[seg + 1] - times[seg]);
+        (0..n)
+            .map(|i| {
+                let a = rows[seg][i];
+                let b = rows[seg + 1][i];
+                Point::new(a.x + (b.x - a.x) * tau, a.y + (b.y - a.y) * tau)
+            })
+            .collect()
+    };
+
+    let initial = UnitDiskGraph::new(&rows[0], range).links();
+    let mut sampled_stable: std::collections::HashSet<(usize, usize)> =
+        initial.iter().copied().collect();
+    let mut sampled_connected = true;
+    for k in 0..=samples {
+        let s = times[0] + (times[times.len() - 1] - times[0]) * k as f64 / samples as f64;
+        let pos = sample_pos(s);
+        let connected = UnitDiskGraph::new(&pos, range).is_connected();
+        sampled_connected &= connected;
+        sampled_stable.retain(|&(i, j)| pos[i].distance(pos[j]) <= range);
+        let reported = |margin: f64| {
+            report
+                .disconnected_intervals
+                .iter()
+                .any(|&(lo, hi)| lo + margin < s && s < hi - margin)
+        };
+        if !connected {
+            prop_assert!(
+                reported(-1e-9),
+                "sample {} disconnected outside every reported interval",
+                s
+            );
+        }
+        if reported(1e-9) {
+            prop_assert!(
+                !connected,
+                "sample {} connected inside a reported disconnect",
+                s
+            );
+        }
+    }
+
+    let exact_violated: std::collections::HashSet<(usize, usize)> =
+        report.violations.iter().map(|v| v.link).collect();
+
+    // Exact bookkeeping is internally consistent.
+    prop_assert_eq!(report.initial_links, initial.len());
+    prop_assert_eq!(
+        report.preserved_links,
+        report.initial_links - exact_violated.len()
+    );
+    prop_assert!(report.certified_pieces <= report.pieces);
+    prop_assert_eq!(
+        report.global_connectivity == 1,
+        report.disconnected_intervals.is_empty()
+    );
+
+    for &link in &initial {
+        if !exact_violated.contains(&link) {
+            // Exact says stable ⇒ no sample may see it out of range.
+            prop_assert!(
+                sampled_stable.contains(&link),
+                "auditor kept {:?} but a dense sample breaks it",
+                link
+            );
+        } else if !sampled_stable.contains(&link) {
+            // Both agree it breaks — fine.
+        } else {
+            // Exact caught a violation the samples missed: it must
+            // be a genuinely narrow excursion (shorter than two
+            // sample steps), not a bookkeeping error.
+            let v = report.violations.iter().find(|v| v.link == link).unwrap();
+            prop_assert!(
+                v.interval.1 - v.interval.0 < 2.0 / samples as f64,
+                "wide violation {:?} of {:?} invisible to {} samples",
+                v.interval,
+                link,
+                samples
+            );
+            prop_assert!(v.max_distance > range);
+        }
+    }
+
+    // Connectivity: a dense-sample disconnect must be caught
+    // exactly; the exact C may only be stricter.
+    if report.global_connectivity == 1 {
+        prop_assert!(sampled_connected);
+    }
+    Ok(())
+}
+
 proptest! {
     // Dense-sampling cross-checks are cheap; run more cases than the
     // full-pipeline properties above.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The closed-form continuous-time auditor against brute force: on
-    /// random piecewise-linear timelines, everything a 10⁴-sample dense
-    /// check can see must agree with the exact (quadratic-extremum)
-    /// verdict, and the exact verdict may only be *stricter* — it
-    /// catches violations that slip between samples, never the reverse.
+    /// The closed-form continuous-time auditor against brute force, on
+    /// two kinds of random piecewise-linear timelines: 6 free robots
+    /// over 2 pieces (10⁴ samples), and 72 robots in 4 drifting,
+    /// jittering clusters over 4 pieces (10³ samples) — large enough that
+    /// spanning-tree certified pieces, exactly swept ones and the
+    /// boundaries between them all occur.
     #[test]
     fn exact_audit_agrees_with_dense_sampling(
         coords in prop::collection::vec((-250.0..250.0f64, -250.0..250.0f64), 18),
+        centers in prop::collection::vec((-120.0..120.0f64, -120.0..120.0f64), 4),
+        drift in prop::collection::vec((-60.0..60.0f64, -60.0..60.0f64), 16),
+        offsets in prop::collection::vec((-50.0..50.0f64, -50.0..50.0f64), 72),
+        jitter in prop::collection::vec((-12.0..12.0f64, -12.0..12.0f64), 360),
     ) {
-        use anr_marching::march::audit_piecewise;
-        use anr_marching::trace::Tracer;
-
-        const ROWS: usize = 3;
-        const SAMPLES: usize = 10_000;
-        let n = coords.len() / ROWS;
-        let range = 150.0;
-        let rows: Vec<Vec<Point>> = (0..ROWS)
+        let n = coords.len() / 3;
+        let rows: Vec<Vec<Point>> = (0..3)
             .map(|k| (0..n).map(|i| {
                 let (x, y) = coords[k * n + i];
                 Point::new(x, y)
             }).collect())
             .collect();
-        let times = vec![0.0, 0.5, 1.0];
-        let report = audit_piecewise(&rows, &times, range, &Tracer::disabled()).unwrap();
+        check_against_dense_sampling(&rows, &[0.0, 0.5, 1.0], 150.0, 10_000)?;
 
-        let sample_pos = |s: f64| -> Vec<Point> {
-            let seg = if s < 0.5 { 0 } else { 1 };
-            let tau = (s - times[seg]) / (times[seg + 1] - times[seg]);
-            (0..n).map(|i| {
-                let a = rows[seg][i];
-                let b = rows[seg + 1][i];
-                Point::new(a.x + (b.x - a.x) * tau, a.y + (b.y - a.y) * tau)
-            }).collect()
-        };
-
-        let initial = UnitDiskGraph::new(&rows[0], range).links();
-        let mut sampled_stable: std::collections::HashSet<(usize, usize)> =
-            initial.iter().copied().collect();
-        let mut sampled_connected = true;
-        for k in 0..=SAMPLES {
-            let pos = sample_pos(k as f64 / SAMPLES as f64);
-            sampled_connected &= UnitDiskGraph::new(&pos, range).is_connected();
-            sampled_stable.retain(|&(i, j)| pos[i].distance(pos[j]) <= range);
-        }
-
-        let exact_violated: std::collections::HashSet<(usize, usize)> =
-            report.violations.iter().map(|v| v.link).collect();
-
-        // Exact bookkeeping is internally consistent.
-        prop_assert_eq!(report.initial_links, initial.len());
-        prop_assert_eq!(
-            report.preserved_links,
-            report.initial_links - exact_violated.len()
-        );
-
-        for &link in &initial {
-            if !exact_violated.contains(&link) {
-                // Exact says stable ⇒ no sample may see it out of range.
-                prop_assert!(
-                    sampled_stable.contains(&link),
-                    "auditor kept {:?} but a dense sample breaks it", link
-                );
-            } else if !sampled_stable.contains(&link) {
-                // Both agree it breaks — fine.
-            } else {
-                // Exact caught a violation the samples missed: it must
-                // be a genuinely narrow excursion (shorter than two
-                // sample steps), not a bookkeeping error.
-                let v = report.violations.iter().find(|v| v.link == link).unwrap();
-                prop_assert!(
-                    v.interval.1 - v.interval.0 < 2.0 / SAMPLES as f64,
-                    "wide violation {:?} of {:?} invisible to 10^4 samples",
-                    v.interval, link
-                );
-                prop_assert!(v.max_distance > range);
+        let mut center: Vec<(f64, f64)> = centers;
+        let mut clustered = Vec::new();
+        for k in 0..5 {
+            if k > 0 {
+                for (c, d) in center.iter_mut().zip(&drift[4 * (k - 1)..4 * k]) {
+                    *c = (c.0 + d.0, c.1 + d.1);
+                }
             }
+            clustered.push((0..72).map(|i| {
+                let (cx, cy) = center[i % 4];
+                let (ox, oy) = offsets[i];
+                let (jx, jy) = jitter[k * 72 + i];
+                Point::new(cx + ox + jx, cy + oy + jy)
+            }).collect::<Vec<_>>());
         }
-
-        // Connectivity: a dense-sample disconnect must be caught
-        // exactly; the exact C may only be stricter.
-        if report.global_connectivity == 1 {
-            prop_assert!(sampled_connected);
-        }
+        check_against_dense_sampling(&clustered, &[0.0, 0.25, 0.5, 0.75, 1.0], 150.0, 1_000)?;
     }
 }
