@@ -1,6 +1,7 @@
-//! n-scaling trajectory of the discrete-event engine.
+//! n-scaling trajectory of the fault-injecting event engine.
 //!
-//! [`run_distsim_bench`] times `anr-eventsim` protocol runs on square
+//! [`run_distsim_bench`] times robust protocol runs on the event engine
+//! ([`anr_distsim::EventSim`]) on square
 //! lattice deployments of 10⁴ and ~10⁵ robots (10⁶ behind
 //! [`DistsimBenchOptions::large`]), the checkpoint save/restore path at
 //! every size (verifying the resumed run stays byte-identical), and a
@@ -16,14 +17,13 @@
 
 use crate::BenchError;
 use anr_distsim::snapshot::Persist;
-use anr_distsim::FaultPlan;
-use anr_eventsim::{
-    run_event_boundary_loop_accounted, run_event_hop_field_accounted, EventNode, EventSim,
-    ExplicitTopology, RHOP_MSG_BITS, RLOOP_MSG_BITS,
-};
+use anr_distsim::{EventSim, ExplicitTopology, FaultPlan, Node};
 use anr_geom::Point;
-use anr_march::{run_fault_sweep, SweepConfig, SweepEngine, SweepProtocols};
-use anr_netgraph::robust::{RetransmitConfig, RobustHopFieldNode};
+use anr_march::{run_fault_sweep, SweepConfig, SweepProtocols};
+use anr_netgraph::robust::{
+    run_robust_boundary_loop, run_robust_hop_field, RetransmitConfig, RobustBoundaryLoopNode,
+    RobustHopFieldNode, RHOP_MSG_BITS, RLOOP_MSG_BITS,
+};
 use anr_netgraph::UnitDiskGraph;
 
 use crate::timing::median_ms;
@@ -106,7 +106,7 @@ pub struct DistsimBenchReport {
     /// The ~10⁵-robot event-engine fault sweep.
     pub sweep: DistsimSweepTiming,
     /// The 10⁴-robot hop-field mid-run snapshot — a reproducible
-    /// checkpoint artifact (`anr-eventsim-ckpt/2` bytes).
+    /// checkpoint artifact (`anr-distsim-ckpt/3` bytes).
     pub checkpoint_artifact: Vec<u8>,
 }
 
@@ -129,7 +129,7 @@ fn ckpt_roundtrip<N>(
     repeats: usize,
 ) -> Result<(f64, f64, usize, bool, Vec<u8>), BenchError>
 where
-    N: EventNode + Persist,
+    N: Node + Persist,
     N::Msg: Persist,
 {
     let topology = ExplicitTopology::new(adjacency.to_vec())?;
@@ -159,9 +159,10 @@ fn hop_field_series(side: usize, repeats: usize) -> Result<(DistsimSeries, Vec<u
     let max_rounds = 40 * side + 400;
 
     let (run_ms, outcome) = median_ms(repeats, || {
-        run_event_hop_field_accounted(&sources, &adjacency, plan.clone(), cfg, max_rounds)
+        run_robust_hop_field(&sources, &adjacency, plan.clone(), cfg, max_rounds)
     })?;
-    let (outcome, obs) = outcome?;
+    let outcome = outcome?;
+    let obs = outcome.observation;
 
     let (save_ms, restore_ms, ckpt_bytes, resume_identical, bytes) = ckpt_roundtrip(
         || {
@@ -210,9 +211,10 @@ fn boundary_loop_series(side: usize, repeats: usize) -> Result<DistsimSeries, Be
     let plan = FaultPlan::reliable(42);
     let max_rounds = 10 * ring + 400;
     let (run_ms, outcome) = median_ms(repeats, || {
-        run_event_boundary_loop_accounted(&ids, plan.clone(), cfg, max_rounds)
+        run_robust_boundary_loop(&ids, plan.clone(), cfg, max_rounds)
     })?;
-    let (outcome, obs) = outcome?;
+    let outcome = outcome?;
+    let obs = outcome.observation;
 
     let restart_after = (ring + 2) * (cfg.interval + 1);
     let adjacency: Vec<Vec<usize>> = (0..ring)
@@ -222,14 +224,7 @@ fn boundary_loop_series(side: usize, repeats: usize) -> Result<DistsimSeries, Be
         || {
             (0..ring)
                 .map(|i| {
-                    anr_netgraph::robust::RobustBoundaryLoopNode::new(
-                        i,
-                        i == 0,
-                        (i + 1) % ring,
-                        cfg,
-                        restart_after,
-                        16,
-                    )
+                    RobustBoundaryLoopNode::new(i, i == 0, (i + 1) % ring, cfg, restart_after, 16)
                 })
                 .collect()
         },
@@ -266,7 +261,6 @@ fn event_sweep(side: usize) -> Result<DistsimSweepTiming, BenchError> {
         max_rounds: 4000,
         retransmit: RetransmitConfig::default(),
         workers: 0,
-        engine: SweepEngine::Event,
         protocols: SweepProtocols {
             flooding: false,
             hop_field: true,
@@ -399,7 +393,7 @@ impl DistsimBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anr_eventsim::CKPT_MAGIC;
+    use anr_distsim::CKPT_MAGIC;
 
     #[test]
     fn tiny_distsim_bench_runs_and_serializes() {

@@ -52,7 +52,7 @@ pub enum BenchError {
     /// A fault-sweep simulation failed.
     Sim(anr_distsim::SimError),
     /// A checkpoint save/restore round trip failed.
-    Ckpt(anr_eventsim::CkptError),
+    Ckpt(anr_distsim::CkptError),
     /// The benchmark was asked for zero timed repetitions.
     ZeroRepeats,
     /// The comparison baseline method was missing from a method-sweep
@@ -123,8 +123,8 @@ impl From<anr_distsim::SimError> for BenchError {
     }
 }
 
-impl From<anr_eventsim::CkptError> for BenchError {
-    fn from(e: anr_eventsim::CkptError) -> Self {
+impl From<anr_distsim::CkptError> for BenchError {
+    fn from(e: anr_distsim::CkptError) -> Self {
         BenchError::Ckpt(e)
     }
 }

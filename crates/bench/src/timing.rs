@@ -10,10 +10,7 @@
 
 use crate::BenchError;
 use anr_coverage::{GridPartition, LloydConfig};
-use anr_harmonic::{
-    fill_holes, harmonic_map_to_disk, harmonic_map_to_disk_warm, DiskOverlay, HarmonicConfig,
-    Solver,
-};
+use anr_harmonic::{fill_holes, harmonic_map_to_disk, DiskOverlay, HarmonicConfig, Solver};
 use anr_march::{march_traced, run_fault_sweep, MarchConfig, MarchProblem, Method, SweepConfig};
 use anr_mesh::FoiMesher;
 use anr_netgraph::{extract_triangulation, UnitDiskGraph};
@@ -59,32 +56,6 @@ pub struct SolverComparison {
     pub max_position_diff: f64,
 }
 
-/// Cold-versus-warm PCG re-solve across one march step.
-///
-/// The robot triangulation one timeline row later is solved twice: from
-/// scratch (interior seeded at the origin, as every pinned march path
-/// does) and warm-started from the previous row's disk embedding via
-/// [`harmonic_map_to_disk_warm`]. Both solvers stop on the residual of
-/// the *current* iterate, so the warm solve converges in the iterations
-/// the seed is still short of tolerance — the march paths stay cold for
-/// byte-determinism, and this duel measures what a warm start would buy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStartComparison {
-    /// Median cold re-solve wall time, milliseconds.
-    pub cold_ms: f64,
-    /// Median warm re-solve wall time, milliseconds.
-    pub warm_ms: f64,
-    /// `cold_ms / warm_ms`.
-    pub speedup: f64,
-    /// PCG iterations of the cold re-solve.
-    pub cold_iterations: usize,
-    /// PCG iterations of the warm re-solve.
-    pub warm_iterations: usize,
-    /// Max per-vertex distance between the cold and warm embeddings —
-    /// they agree to solver tolerance, not bit-exactly.
-    pub max_position_diff: f64,
-}
-
 /// Everything measured on one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioTimings {
@@ -104,8 +75,6 @@ pub struct ScenarioTimings {
     pub march_stages: Vec<StageTiming>,
     /// The harmonic-solver duel.
     pub harmonic: SolverComparison,
-    /// The warm-start re-solve duel across one march step.
-    pub warm_start: WarmStartComparison,
     /// Linear motion pieces the continuous audit decomposed the march
     /// timeline into.
     pub audit_pieces: usize,
@@ -318,42 +287,7 @@ fn bench_scenario(
     })
     .collect();
 
-    // Stage 5: the warm-start duel — re-solve the robot triangulation
-    // one march step later, cold versus warm-started from the previous
-    // row's disk embedding. Uses the march's own timeline so the step
-    // size is the real one, not a synthetic perturbation.
-    let row_a = outcome.timeline.first().unwrap_or(&problem.positions);
-    let row_b = outcome.timeline.get(1).unwrap_or(row_a);
-    let mesh_a = anr_mesh::delaunay(row_a).map_err(anr_march::MarchError::from)?;
-    let map_a = harmonic_map_to_disk(&mesh_a, &pcg_cfg).map_err(anr_march::MarchError::from)?;
-    let mesh_b = anr_mesh::delaunay(row_b).map_err(anr_march::MarchError::from)?;
-    let (cold_ms, cold_map) = median_ms(repeats, || harmonic_map_to_disk(&mesh_b, &pcg_cfg))?;
-    let cold_map = cold_map.map_err(anr_march::MarchError::from)?;
-    let warm_tracer = Tracer::disabled();
-    let (warm_ms, warm_map) = median_ms(repeats, || {
-        harmonic_map_to_disk_warm(&mesh_b, &pcg_cfg, map_a.positions(), &warm_tracer)
-    })?;
-    let warm_map = warm_map.map_err(anr_march::MarchError::from)?;
-    let warm_diff = cold_map
-        .positions()
-        .iter()
-        .zip(warm_map.positions())
-        .map(|(a, b)| a.distance(*b))
-        .fold(0.0f64, f64::max);
-    let warm_start = WarmStartComparison {
-        cold_ms,
-        warm_ms,
-        speedup: if warm_ms > 0.0 {
-            cold_ms / warm_ms
-        } else {
-            0.0
-        },
-        cold_iterations: cold_map.iterations(),
-        warm_iterations: warm_map.iterations(),
-        max_position_diff: warm_diff,
-    };
-
-    // Stage 6: the guarded Lloyd refinement from the mapped positions.
+    // Stage 5: the guarded Lloyd refinement from the mapped positions.
     let partition = GridPartition::new(&problem.m2, spacing * 0.2);
     let lloyd_cfg = LloydConfig {
         record_history: true,
@@ -408,7 +342,6 @@ fn bench_scenario(
             gs_iterations: gs_map.iterations(),
             max_position_diff,
         },
-        warm_start,
         audit_pieces: outcome.metrics.audit_pieces,
         audit_checks: outcome.metrics.audit_checks,
     })
@@ -550,7 +483,7 @@ impl PipelineBenchReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"anr-bench-pipeline/3\",\n");
+        s.push_str("  \"schema\": \"anr-bench-pipeline/4\",\n");
         s.push_str(&format!("  \"cores\": {},\n", self.cores));
         s.push_str(&format!("  \"workers\": {},\n", self.workers));
         s.push_str(&format!("  \"repeats\": {},\n", self.repeats));
@@ -595,18 +528,6 @@ impl PipelineBenchReport {
                 h.pcg_iterations,
                 h.gs_iterations,
                 h.max_position_diff,
-            ));
-            let w = &sc.warm_start;
-            s.push_str(&format!(
-                "      \"warm_start\": {{\"cold_ms\": {}, \"warm_ms\": {}, \"speedup\": {:.2}, \
-                 \"cold_iterations\": {}, \"warm_iterations\": {}, \
-                 \"max_position_diff\": {:.3e}}},\n",
-                json_ms(w.cold_ms),
-                json_ms(w.warm_ms),
-                w.speedup,
-                w.cold_iterations,
-                w.warm_iterations,
-                w.max_position_diff,
             ));
             s.push_str(&format!(
                 "      \"audit_pieces\": {},\n      \"audit_checks\": {}\n",
@@ -790,22 +711,9 @@ mod tests {
             "diff {}",
             sc.harmonic.max_position_diff
         );
-        // The warm-started re-solve lands on the cold solution (to
-        // solver tolerance) without doing more work than the cold one.
-        assert!(
-            sc.warm_start.max_position_diff < 1e-4,
-            "warm diff {}",
-            sc.warm_start.max_position_diff
-        );
-        assert!(
-            sc.warm_start.warm_iterations <= sc.warm_start.cold_iterations,
-            "warm start did extra work: {} > {}",
-            sc.warm_start.warm_iterations,
-            sc.warm_start.cold_iterations
-        );
         let json = report.to_json();
         for key in [
-            "\"schema\": \"anr-bench-pipeline/3\"",
+            "\"schema\": \"anr-bench-pipeline/4\"",
             "\"workers\"",
             "\"audit_pieces\"",
             "\"audit_checks\"",
@@ -816,8 +724,6 @@ mod tests {
             "\"stage\": \"triangulate\"",
             "\"stage\": \"trajectories\"",
             "\"speedup\"",
-            "\"warm_start\"",
-            "\"cold_iterations\"",
             "\"fault_sweep\"",
             "\"byte_identical\": true",
         ] {

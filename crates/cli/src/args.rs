@@ -19,16 +19,6 @@ pub enum MethodArg {
     All,
 }
 
-/// Which simulation engine runs the fault-sweep cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineArg {
-    /// The round-stepping synchronous harness.
-    #[default]
-    Sync,
-    /// The discrete-event engine (`anr-eventsim`).
-    Event,
-}
-
 impl MethodArg {
     fn parse(s: &str) -> Result<Self, ArgError> {
         match s {
@@ -86,7 +76,7 @@ pub enum Command {
         robots: usize,
     },
     /// `anr fault-sweep [--id N] [--robots R] [--loss CSV] [--crashes CSV]
-    /// [--seed S] [--workers W] [--engine sync|event] [--out FILE]`
+    /// [--seed S] [--workers W] [--out FILE]`
     FaultSweep {
         /// Scenario id (1–7) whose deployment supplies the topology.
         id: u8,
@@ -100,9 +90,6 @@ pub enum Command {
         seed: u64,
         /// Worker threads for the grid (0 = auto).
         workers: usize,
-        /// Simulation engine for the cell runs (results are
-        /// byte-identical; the event engine scales further).
-        engine: EngineArg,
         /// Write the JSON grid here instead of stdout.
         out: Option<PathBuf>,
     },
@@ -130,8 +117,8 @@ pub enum Command {
         smoke: bool,
         /// Timed repetitions per stage (the median is reported).
         repeats: usize,
-        /// Run the distributed-simulation scaling tier
-        /// (`anr-eventsim`) instead of the pipeline trajectory.
+        /// Run the event-engine scaling tier (`anr-distsim`) instead
+        /// of the pipeline trajectory.
         distsim: bool,
         /// Distsim tier only: include the 10⁶-robot series.
         large: bool,
@@ -290,7 +277,7 @@ COMMANDS:
   anr mission  [--stops <k>] [--robots <n>]
   anr fault-sweep [--id <1-7>] [--robots <n>] [--loss <p,p,...>]
                [--crashes <k,k,...>] [--seed <s>] [--workers <w>]
-               [--engine sync|event] [--out <file.json>]
+               [--out <file.json>]
   anr audit    [--id <1-7>] [--method a|b] [--separation <ranges>]
                [--robots <n>]
   anr serve    [--port <p>] [--workers <w>] [--queue <n>]
@@ -315,10 +302,10 @@ GLOBAL FLAGS:
 the closed-form per-link extremum (no sampling) and exits non-zero if
 any audited transition ever disconnects.
 
-`anr fault-sweep --engine event` runs the grid on the discrete-event
-engine (anr-eventsim); the JSON is byte-identical to the synchronous
-engine, but dormant robots cost nothing, so much larger swarms fit the
-same budget. `anr bench --distsim` times that engine's n-scaling tier
+`anr fault-sweep` runs the grid on the fault-injecting event engine
+(anr-distsim): dormant robots and idle rounds cost nothing, so large
+swarms fit the budget. `anr bench --distsim` times that engine's
+n-scaling tier
 (10k and 100k robots; 10⁶ with --large) plus checkpoint save/restore,
 writing BENCH_distsim.json; `--ckpt <file>` also writes the 10k-robot
 snapshot as an artifact.
@@ -533,7 +520,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
             let mut crashes = vec![0usize, 1, 2];
             let mut seed = 42u64;
             let mut workers = 0usize;
-            let mut engine = EngineArg::default();
             let mut out = None;
             while let Some(flag) = cur.next() {
                 match flag.as_str() {
@@ -565,19 +551,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
                             "an integer (0 = auto)",
                         )?
                     }
-                    "--engine" => {
-                        engine = match cur.value_for("--engine")?.as_str() {
-                            "sync" => EngineArg::Sync,
-                            "event" => EngineArg::Event,
-                            other => {
-                                return Err(ArgError::BadValue {
-                                    flag: "--engine",
-                                    value: other.to_string(),
-                                    expected: "sync or event",
-                                })
-                            }
-                        }
-                    }
                     "--out" => out = Some(PathBuf::from(cur.value_for("--out")?)),
                     other => {
                         return Err(ArgError::UnknownFlag {
@@ -593,7 +566,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Ar
                 crashes,
                 seed,
                 workers,
-                engine,
                 out,
             })
         }
@@ -977,7 +949,6 @@ mod tests {
                 crashes: vec![0, 1, 2],
                 seed: 42,
                 workers: 0,
-                engine: EngineArg::Sync,
                 out: None,
             }
         );
@@ -999,8 +970,6 @@ mod tests {
             "7",
             "--workers",
             "4",
-            "--engine",
-            "event",
             "--out",
             "grid.json",
         ])
@@ -1014,25 +983,9 @@ mod tests {
                 crashes: vec![0, 2, 4],
                 seed: 7,
                 workers: 4,
-                engine: EngineArg::Event,
                 out: Some(PathBuf::from("grid.json")),
             }
         );
-        // The engine defaults to the synchronous harness.
-        assert!(matches!(
-            parse(&["fault-sweep"]).unwrap(),
-            Command::FaultSweep {
-                engine: EngineArg::Sync,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&["fault-sweep", "--engine", "quantum"]),
-            Err(ArgError::BadValue {
-                flag: "--engine",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Command execution for the `anr` binary.
 
-use crate::{Command, EngineArg, MethodArg};
+use crate::{Command, MethodArg};
 use anr_geom::Point;
 use anr_march::{
     audit_piecewise, direct_translation, hungarian_direct, march_mission, march_traced,
     run_fault_sweep_traced, MarchConfig, MarchError, MarchOutcome, MarchProblem, Method,
-    MetricsError, Mission, SweepConfig, SweepEngine,
+    MetricsError, Mission, SweepConfig,
 };
 use anr_netgraph::UnitDiskGraph;
 use anr_scenarios::{blob, build_scenario, ScenarioError, ScenarioParams};
@@ -327,7 +327,6 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             crashes,
             seed,
             workers,
-            engine,
             out,
         } => {
             let problem = scenario_problem(id, 10.0, robots)?;
@@ -342,10 +341,6 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
                 crash_counts: crashes,
                 seed,
                 workers,
-                engine: match engine {
-                    EngineArg::Sync => SweepEngine::Synchronous,
-                    EngineArg::Event => SweepEngine::Event,
-                },
                 ..Default::default()
             };
             let report =
@@ -851,31 +846,13 @@ mod tests {
             crashes: vec![0, 1],
             seed: 5,
             workers: 0,
-            engine: EngineArg::Sync,
             out: Some(path.clone()),
         })
         .unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"protocol\": \"flooding\""));
         assert!(json.contains("\"protocol\": \"hop_field\""));
-
-        // The event engine produces the very same document.
-        let event_path = std::env::temp_dir().join("anr_cli_fault_sweep_event_test.json");
-        run_command(Command::FaultSweep {
-            id: 1,
-            robots: 64,
-            loss: vec![0.0, 0.1],
-            crashes: vec![0, 1],
-            seed: 5,
-            workers: 0,
-            engine: EngineArg::Event,
-            out: Some(event_path.clone()),
-        })
-        .unwrap();
-        let event_json = std::fs::read_to_string(&event_path).unwrap();
-        assert_eq!(json, event_json, "engines must emit identical JSON");
         std::fs::remove_file(path).ok();
-        std::fs::remove_file(event_path).ok();
     }
 
     #[test]
@@ -951,7 +928,6 @@ mod tests {
                 crashes: vec![500],
                 seed: 5,
                 workers: 0,
-                engine: EngineArg::Sync,
                 out: None,
             }),
             Err(CliError::BadParameter(_))

@@ -21,5 +21,5 @@
 mod args;
 mod commands;
 
-pub use args::{parse_args, parse_invocation, ArgError, Command, EngineArg, Invocation, MethodArg};
+pub use args::{parse_args, parse_invocation, ArgError, Command, Invocation, MethodArg};
 pub use commands::{run_command, run_command_traced, CliError};

@@ -16,7 +16,7 @@
 
 use crate::MetricsError;
 use anr_distsim::{
-    Envelope, FaultPlan, FaultStats, FaultySimulator, Node, Outbox, SimError, Simulator,
+    Envelope, EventSim, ExplicitTopology, FaultPlan, FaultStats, Node, Outbox, SimError, Simulator,
 };
 use anr_geom::Point;
 use anr_netgraph::UnitDiskGraph;
@@ -120,6 +120,12 @@ impl Node for ObjectiveNode {
             });
         }
         let _ = self.n;
+    }
+
+    /// An empty inbox only matters while the robot still has its own
+    /// report to count and send.
+    fn idle(&self) -> bool {
+        self.counted || self.neighbor_targets.is_empty()
     }
 }
 
@@ -305,7 +311,8 @@ pub fn distributed_objective_under_faults(
             total_distance: 0.0,
         })
         .collect();
-    let mut sim = FaultySimulator::new(nodes, graph.adjacency().to_vec(), plan)?;
+    let topology = ExplicitTopology::new(graph.adjacency().to_vec())?;
+    let mut sim = EventSim::new(nodes, topology, plan)?;
     let stats = sim.run_until_quiet(4 * n + 16)?;
 
     let live: Vec<usize> = (0..n).filter(|&i| !sim.is_crashed(i)).collect();

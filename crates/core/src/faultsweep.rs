@@ -24,27 +24,11 @@
 //! JSON document for the `fault-sweep` CLI subcommand and the
 //! `fault_sweep` bench binary.
 
-use anr_distsim::{FaultPlan, FaultStats, FaultySimulator, SimError};
-use anr_eventsim::{EventNode, EventSim, ExplicitTopology};
+use anr_distsim::{EventSim, ExplicitTopology, FaultPlan, FaultStats, Node, SimError};
 use anr_geom::Point;
 use anr_netgraph::robust::{RetransmitConfig, RobustFloodNode, RobustHopFieldNode};
 use anr_netgraph::UnitDiskGraph;
 use anr_trace::{TraceValue, Tracer};
-
-/// Which simulation engine executes the sweep's cell runs.
-///
-/// The engines are bit-identical under any common fault plan (pinned
-/// by `anr-eventsim`'s equivalence tests), so the choice affects cost,
-/// not results: the event engine skips dormant robots and empty
-/// rounds, which is what makes 10⁵–10⁶-robot sweeps affordable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepEngine {
-    /// The round-stepping [`FaultySimulator`] — `Θ(n)` per round.
-    #[default]
-    Synchronous,
-    /// The discrete-event [`EventSim`] — `Θ(active)` per round.
-    Event,
-}
 
 /// Which robust protocols a sweep exercises.
 ///
@@ -87,9 +71,6 @@ pub struct SweepConfig {
     /// ([`anr_par::default_workers`]); `1` forces the serial order. The
     /// report — and its JSON — is byte-identical whatever the count.
     pub workers: usize,
-    /// Engine executing the cell runs; the report is byte-identical
-    /// either way.
-    pub engine: SweepEngine,
     /// Protocols to sweep (at least one must be enabled).
     pub protocols: SweepProtocols,
 }
@@ -103,7 +84,6 @@ impl Default for SweepConfig {
             max_rounds: 4000,
             retransmit: RetransmitConfig::default(),
             workers: 0,
-            engine: SweepEngine::default(),
             protocols: SweepProtocols::default(),
         }
     }
@@ -259,63 +239,39 @@ struct CellRun {
 }
 
 /// Runs one protocol under one plan, tolerating non-convergence (the
-/// stats of a timed-out run are still reported). Both engines follow
-/// the same settle-then-drain shape, so their cells are byte-identical.
+/// stats of a timed-out run are still reported): settle, then drain the
+/// in-flight tail (stray acks, duplicates) so delivery accounting is
+/// complete.
 fn run_cell<N, F, C>(
     nodes: Vec<N>,
     adjacency: &[Vec<usize>],
     plan: FaultPlan,
     max_rounds: usize,
-    engine: SweepEngine,
     settled: F,
     check: C,
 ) -> Result<CellRun, SimError>
 where
-    N: EventNode,
+    N: Node,
     F: Fn(&[N]) -> bool,
     C: Fn(&[N]) -> bool,
 {
-    let (converged, correct, stats) = match engine {
-        SweepEngine::Synchronous => {
-            let mut sim = FaultySimulator::new(nodes, adjacency.to_vec(), plan)?;
-            let converged = match sim.run_until(max_rounds, &settled) {
-                Ok(_) => true,
-                Err(SimError::NotQuiescent { .. }) => false,
-                Err(e) => return Err(e),
-            };
-            if converged {
-                // Drain the in-flight tail (stray acks, duplicates) so
-                // delivery accounting is complete.
-                match sim.run_until_quiet(max_rounds) {
-                    Ok(_) | Err(SimError::NotQuiescent { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            let correct = converged && check(sim.nodes());
-            (converged, correct, sim.stats())
-        }
-        SweepEngine::Event => {
-            let topology = ExplicitTopology::new(adjacency.to_vec())?;
-            let mut sim = EventSim::new(nodes, topology, plan)?;
-            let converged = match sim.run_until(max_rounds, &settled) {
-                Ok(_) => true,
-                Err(SimError::NotQuiescent { .. }) => false,
-                Err(e) => return Err(e),
-            };
-            if converged {
-                match sim.run_until_quiet(max_rounds) {
-                    Ok(_) | Err(SimError::NotQuiescent { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            let correct = converged && check(sim.nodes());
-            (converged, correct, sim.stats())
-        }
+    let topology = ExplicitTopology::new(adjacency.to_vec())?;
+    let mut sim = EventSim::new(nodes, topology, plan)?;
+    let converged = match sim.run_until(max_rounds, &settled) {
+        Ok(_) => true,
+        Err(SimError::NotQuiescent { .. }) => false,
+        Err(e) => return Err(e),
     };
+    if converged {
+        match sim.run_until_quiet(max_rounds) {
+            Ok(_) | Err(SimError::NotQuiescent { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(CellRun {
         converged,
-        correct,
-        stats,
+        correct: converged && check(sim.nodes()),
+        stats: sim.stats(),
     })
 }
 
@@ -326,7 +282,6 @@ fn flood_cell(
     crashed: &[bool],
     cfg: RetransmitConfig,
     max_rounds: usize,
-    engine: SweepEngine,
 ) -> Result<CellRun, SimError> {
     let n = values.len();
     let comp = live_components(adjacency, crashed);
@@ -350,7 +305,6 @@ fn flood_cell(
         adjacency,
         plan,
         max_rounds,
-        engine,
         |ns| ns.iter().all(RobustFloodNode::is_settled),
         move |ns| {
             ns.iter().enumerate().all(|(i, nd)| match expected[i] {
@@ -368,7 +322,6 @@ fn hop_field_cell(
     crashed: &[bool],
     cfg: RetransmitConfig,
     max_rounds: usize,
-    engine: SweepEngine,
 ) -> Result<CellRun, SimError> {
     let expected = live_hops(adjacency, crashed, sources);
     let crashed_owned = crashed.to_vec();
@@ -382,7 +335,6 @@ fn hop_field_cell(
         adjacency,
         plan,
         max_rounds,
-        engine,
         |ns| ns.iter().all(RobustHopFieldNode::is_settled),
         move |ns| {
             ns.iter()
@@ -487,7 +439,6 @@ pub fn run_fault_sweep_traced(
             &no_crash,
             cfg,
             config.max_rounds,
-            config.engine,
         )?;
         grids.push(ProtocolGrid {
             protocol: "flooding".to_string(),
@@ -504,7 +455,6 @@ pub fn run_fault_sweep_traced(
             &no_crash,
             cfg,
             config.max_rounds,
-            config.engine,
         )?;
         grids.push(ProtocolGrid {
             protocol: "hop_field".to_string(),
@@ -543,7 +493,6 @@ pub fn run_fault_sweep_traced(
                 &crashed,
                 cfg,
                 config.max_rounds,
-                config.engine,
             )?);
         }
         if config.protocols.hop_field {
@@ -554,7 +503,6 @@ pub fn run_fault_sweep_traced(
                 &crashed,
                 cfg,
                 config.max_rounds,
-                config.engine,
             )?);
         }
         Ok(runs)
@@ -700,21 +648,22 @@ mod tests {
         }
     }
 
+    /// The sweep once ran on a round-stepping synchronous harness; its
+    /// JSON for this grid was recorded then (FNV-1a 64 over the bytes)
+    /// and the event engine must still produce it byte for byte.
     #[test]
     fn event_engine_report_is_byte_identical_to_sync() {
-        let pts = lattice(3, 4);
-        let sync = run_fault_sweep(&pts, 80.0, &small_config()).unwrap();
-        let event = run_fault_sweep(
-            &pts,
-            80.0,
-            &SweepConfig {
-                engine: SweepEngine::Event,
-                ..small_config()
-            },
-        )
-        .unwrap();
-        assert_eq!(sync, event, "engines must agree cell by cell");
-        assert_eq!(sync.to_json(), event.to_json());
+        const SYNC_JSON_FNV: u64 = 0xbe55_89a0_c4c7_acee;
+        let json = run_fault_sweep(&lattice(3, 4), 80.0, &small_config())
+            .unwrap()
+            .to_json();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in json.as_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(json.len(), 1832);
+        assert_eq!(hash, SYNC_JSON_FNV, "sweep JSON drifted:\n{json}");
     }
 
     #[test]

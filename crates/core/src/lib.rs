@@ -77,7 +77,7 @@ pub use energy::{EnergyModel, EnergyReport};
 pub use error::MarchError;
 pub use faultsweep::{
     run_fault_sweep, run_fault_sweep_traced, FaultSweepReport, ProtocolGrid, SurvivalStats,
-    SweepConfig, SweepEngine, SweepProtocols,
+    SweepConfig, SweepProtocols,
 };
 pub use metrics::{
     edge_stretch_stats, evaluate_timeline, MetricsError, StretchStats, TransitionMetrics,

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a seeded, deterministic recipe layered between a
 //! node's [`Outbox`](crate::Outbox) and delivery by the
-//! [`FaultySimulator`](crate::harness::FaultySimulator). It models the
+//! [`EventSim`](crate::EventSim). It models the
 //! failure regimes the paper motivates but the reliable
 //! [`Simulator`](crate::Simulator) cannot express:
 //!
@@ -121,17 +121,15 @@ pub struct FaultPlan {
     /// Probability in `[0, 1)` that a delivery is duplicated (the clone
     /// arrives independently, with its own delay draw).
     pub duplication: f64,
-    /// Scheduled crashes and recoveries, in any order (the harness sorts
+    /// Scheduled crashes and recoveries, in any order (the engine sorts
     /// by round, ties broken by list order).
     pub churn: Vec<ChurnEvent>,
 }
 
 impl FaultPlan {
-    /// A plan with every fault knob at zero: the [`FaultySimulator`]
+    /// A plan with every fault knob at zero: the [`EventSim`](crate::EventSim)
     /// under this plan is bit-identical to the reliable
     /// [`Simulator`](crate::Simulator).
-    ///
-    /// [`FaultySimulator`]: crate::harness::FaultySimulator
     pub fn reliable(seed: u64) -> Self {
         FaultPlan {
             seed,

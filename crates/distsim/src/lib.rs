@@ -1,18 +1,27 @@
-//! # anr-distsim — synchronous round-based message-passing simulator
+//! # anr-distsim — round-based message-passing simulators
 //!
 //! The ICDCS 2016 optimal-marching paper specifies its algorithms at the
 //! message level: boundary vertices pass a hop-counting token around the
 //! boundary loop, robots flood their stable-link ratios, isolated
 //! subgroups are discovered by packets initiated at boundary vertices
 //! (Sec. III-B, III-D-1). This crate is the substrate those protocols run
-//! on: a deterministic, synchronous, round-based network simulator.
+//! on. It has two engines over one [`Node`] trait:
 //!
-//! * Nodes implement the [`Node`] trait (`on_start` + `on_round`).
-//! * Communication topology is a fixed undirected graph; a node may only
-//!   send to its neighbors (enforced).
-//! * Each round delivers all messages sent in the previous round.
-//! * [`Simulator::run_until_quiet`] runs until no messages are in flight
-//!   and reports round/message accounting.
+//! * [`Simulator`] — the paper's ideal network: synchronous rounds,
+//!   every message sent is delivered the next round, every node is
+//!   stepped every round. [`Simulator::run_until_quiet`] runs until no
+//!   messages are in flight and reports round/message accounting.
+//! * [`EventSim`] — the fault-injecting event engine: a seeded
+//!   [`FaultPlan`] loses, delays and duplicates messages and crashes and
+//!   recovers robots; only rounds with something due execute, and only
+//!   woken robots step (see [`Node::idle`]). Topologies are pluggable
+//!   ([`ExplicitTopology`], the lazy [`GridTopology`]), runs can be
+//!   checkpointed ([`EventSim::save`], `anr-distsim-ckpt/3`) and carry
+//!   CONGEST accounting ([`EventSim::with_accounting`]). Under a
+//!   reliable plan it reproduces [`Simulator`] exactly.
+//!
+//! In both engines a node may only send to its topology neighbors
+//! (enforced), and a node's sends are delivered in send order.
 //!
 //! ## Example: min-ID flooding (leader election)
 //!
@@ -49,15 +58,18 @@
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod channel;
+mod channel;
+pub mod ckpt;
 pub mod fault;
 pub mod harness;
 pub mod snapshot;
+pub mod topology;
 
-pub use channel::FaultChannel;
+pub use ckpt::{CkptError, CKPT_MAGIC};
 pub use fault::{ChurnEvent, ChurnKind, DelayModel, FaultPlan};
-pub use harness::{FaultStats, FaultySimulator};
+pub use harness::{EventSim, FaultStats, ModelObservation};
 pub use snapshot::{Persist, PersistError, SnapshotReader, SnapshotWriter};
+pub use topology::{ExplicitTopology, GridTopology, Topology};
 
 use std::error::Error;
 use std::fmt;
@@ -85,10 +97,8 @@ pub struct Outbox<M> {
 ///
 /// Queued sends carrying this destination are expanded over the
 /// sender's adjacency row (in neighbor order) when the outbox is
-/// committed. Exposed so alternative execution engines (e.g. the
-/// discrete-event engine in `anr-eventsim`) can expand outboxes with
-/// semantics identical to [`Simulator`].
-pub const BROADCAST: usize = usize::MAX;
+/// committed.
+const BROADCAST: usize = usize::MAX;
 
 impl<M> Default for Outbox<M> {
     fn default() -> Self {
@@ -97,8 +107,7 @@ impl<M> Default for Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// An empty outbox. Public so alternative execution engines can
-    /// drive [`Node`] implementations directly.
+    /// An empty outbox.
     pub fn new() -> Self {
         Outbox { queued: Vec::new() }
     }
@@ -129,13 +138,9 @@ impl<M> Outbox<M> {
         self.queued.is_empty()
     }
 
-    /// Drains the queued sends.
-    ///
-    /// Destinations equal to [`BROADCAST`] denote a broadcast and must
-    /// be expanded over the sender's neighbor list by the caller.
-    /// Public so alternative execution engines can commit outboxes with
-    /// the same expansion order as [`Simulator`].
-    pub fn take_queued(&mut self) -> Vec<(usize, M)> {
+    /// Drains the queued sends; a [`BROADCAST`] destination must be
+    /// expanded over the sender's neighbor row by the engine.
+    fn take_queued(&mut self) -> Vec<(usize, M)> {
         std::mem::take(&mut self.queued)
     }
 }
@@ -161,6 +166,17 @@ pub trait Node {
         inbox: &[Envelope<Self::Msg>],
         out: &mut Outbox<Self::Msg>,
     );
+
+    /// Dormancy certificate for the [`EventSim`] engine. Returning
+    /// `true` promises that, until a message arrives, `on_round` with
+    /// an empty inbox would change no state, send nothing, and draw no
+    /// randomness — so the engine may skip those calls entirely.
+    ///
+    /// The default `false` is always safe: the node is stepped every
+    /// round. The reliable [`Simulator`] steps every node regardless.
+    fn idle(&self) -> bool {
+        false
+    }
 }
 
 /// Accounting for a finished simulation.
@@ -170,8 +186,6 @@ pub struct SimStats {
     pub rounds: usize,
     /// Total messages delivered (a broadcast to k neighbors counts k).
     pub messages: usize,
-    /// Messages dropped by the loss model (see [`Simulator::with_loss`]).
-    pub dropped: usize,
 }
 
 /// Errors raised by the simulator.
@@ -290,10 +304,6 @@ pub struct Simulator<N: Node> {
     in_flight: Vec<Vec<Envelope<N::Msg>>>,
     stats: SimStats,
     started: bool,
-    /// Per-message drop probability in [0, 1); 0 = lossless.
-    loss_probability: f64,
-    /// Deterministic RNG state for the loss model (splitmix64).
-    loss_state: u64,
 }
 
 impl<N: Node> Simulator<N> {
@@ -331,42 +341,7 @@ impl<N: Node> Simulator<N> {
             in_flight: vec![Vec::new(); n],
             stats: SimStats::default(),
             started: false,
-            loss_probability: 0.0,
-            loss_state: 0,
         })
-    }
-
-    /// Enables a deterministic message-loss model: every delivery is
-    /// independently dropped with the given probability, driven by a
-    /// seeded splitmix64 stream — the "unexpected event" failure
-    /// injection used to stress the protocols.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `probability` is not in `[0, 1)`.
-    pub fn with_loss(mut self, probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&probability),
-            "loss probability must be in [0, 1)"
-        );
-        self.loss_probability = probability;
-        self.loss_state = seed ^ 0x5DEECE66D;
-        self
-    }
-
-    /// Draws the next uniform sample from the loss stream.
-    fn next_loss_sample(&mut self) -> f64 {
-        self.loss_state = self.loss_state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.loss_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Should this delivery be dropped?
-    fn drops(&mut self) -> bool {
-        self.loss_probability > 0.0 && self.next_loss_sample() < self.loss_probability
     }
 
     /// Read access to the nodes (inspect protocol state after a run).
@@ -411,12 +386,7 @@ impl<N: Node> Simulator<N> {
     fn commit_outbox(&mut self, from: usize, out: Outbox<N::Msg>) -> Result<(), SimError> {
         for (to, msg) in out.queued {
             if to == BROADCAST {
-                for k in 0..self.adjacency[from].len() {
-                    let nbr = self.adjacency[from][k];
-                    if self.drops() {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
+                for &nbr in &self.adjacency[from] {
                     self.in_flight[nbr].push(Envelope {
                         from,
                         msg: msg.clone(),
@@ -426,10 +396,6 @@ impl<N: Node> Simulator<N> {
             } else {
                 if !self.adjacency[from].contains(&to) {
                     return Err(SimError::NotANeighbor { from, to });
-                }
-                if self.drops() {
-                    self.stats.dropped += 1;
-                    continue;
                 }
                 self.in_flight[to].push(Envelope { from, msg });
                 self.stats.messages += 1;
@@ -691,35 +657,37 @@ mod tests {
         let nodes = (0..4).map(|_| Counter { received: 0 }).collect();
         let mut sim = Simulator::new(nodes, ring(4)).unwrap();
         let stats = sim.run_until_quiet(10).unwrap();
-        assert_eq!(stats.dropped, 0);
         assert_eq!(stats.messages, 8);
+        assert!(sim.nodes().iter().all(|n| n.received == 2));
+    }
+
+    /// The fault-injecting engine over a prebuilt adjacency.
+    fn event_sim<N: Node>(
+        nodes: Vec<N>,
+        adj: Vec<Vec<usize>>,
+        plan: FaultPlan,
+    ) -> EventSim<N, ExplicitTopology> {
+        EventSim::new(nodes, ExplicitTopology::new(adj).unwrap(), plan).unwrap()
     }
 
     #[test]
     fn loss_model_drops_deterministically() {
-        let run = |seed: u64| -> SimStats {
+        let run = |seed: u64| -> FaultStats {
             let nodes = (0..8).map(|_| Counter { received: 0 }).collect();
-            let mut sim = Simulator::new(nodes, ring(8)).unwrap().with_loss(0.5, seed);
-            sim.run_until_quiet(10).unwrap()
+            let plan = FaultPlan::reliable(seed).with_loss(0.5);
+            event_sim(nodes, ring(8), plan).run_until_quiet(10).unwrap()
         };
         let a = run(1);
         let b = run(1);
         assert_eq!(a, b, "same seed must reproduce the same drops");
-        assert!(a.dropped > 0, "p=0.5 over 16 messages should drop some");
-        assert_eq!(a.messages + a.dropped, 16);
+        assert!(
+            a.dropped_loss > 0,
+            "p=0.5 over 16 messages should drop some"
+        );
+        assert_eq!(a.sent + a.dropped_loss, 16);
         // A different seed gives a different (but valid) trace.
         let c = run(2);
-        assert_eq!(c.messages + c.dropped, 16);
-    }
-
-    #[test]
-    fn full_loss_probability_rejected() {
-        let nodes: Vec<Counter> = vec![Counter { received: 0 }];
-        let sim = Simulator::new(nodes, vec![vec![]]).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = sim.with_loss(1.0, 0);
-        }));
-        assert!(result.is_err());
+        assert_eq!(c.sent + c.dropped_loss, 16);
     }
 
     #[test]
@@ -744,7 +712,7 @@ mod tests {
                 dist: if i == 0 { Some(0) } else { None },
             })
             .collect();
-        let mut sim = Simulator::new(nodes, adj).unwrap().with_loss(0.3, 99);
+        let mut sim = event_sim(nodes, adj, FaultPlan::reliable(99).with_loss(0.3));
         sim.run_until_quiet(50).unwrap();
         for (i, node) in sim.nodes().iter().enumerate() {
             if let Some(d) = node.dist {

@@ -1,7 +1,7 @@
 //! Byte-stable snapshot codec for simulator state.
 //!
-//! The discrete-event engine (`anr-eventsim`) checkpoints a running
-//! simulation — heap, node state, RNG streams — into a versioned,
+//! The event engine ([`EventSim`](crate::EventSim)) checkpoints a running
+//! simulation — delivery buckets, node state, RNG streams — into a versioned,
 //! byte-stable blob so long-horizon runs are resumable and a restored
 //! run is bit-identical to an uninterrupted one. This module holds the
 //! low-level codec that blob is built from:

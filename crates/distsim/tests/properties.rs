@@ -1,9 +1,11 @@
-//! Property tests for the message-passing simulator: delivery
+//! Property tests for the message-passing simulators: delivery
 //! accounting, loss statistics, deterministic replay, and the
-//! fault-harness ≡ reliable-simulator equivalence under a zero-fault
+//! event engine ≡ reliable simulator equivalence under a zero-fault
 //! plan.
 
-use anr_distsim::{Envelope, FaultPlan, FaultySimulator, Node, Outbox, SimStats, Simulator};
+use anr_distsim::{
+    Envelope, EventSim, ExplicitTopology, FaultPlan, FaultStats, Node, Outbox, Simulator,
+};
 use proptest::prelude::*;
 
 /// Node that broadcasts once and counts what it receives.
@@ -95,12 +97,12 @@ fn random_connected(n: usize, extra: usize, seed: u64) -> Vec<Vec<usize>> {
     adj
 }
 
-fn run(n: usize, loss: f64, seed: u64) -> (SimStats, Vec<usize>) {
+/// One-shot broadcasts on a ring, on the event engine under `loss`.
+fn run(n: usize, loss: f64, seed: u64) -> (FaultStats, Vec<usize>) {
     let nodes = (0..n).map(|_| OneShot { received: 0 }).collect();
-    let mut sim = Simulator::new(nodes, ring(n)).unwrap();
-    if loss > 0.0 {
-        sim = sim.with_loss(loss, seed);
-    }
+    let topology = ExplicitTopology::new(ring(n)).unwrap();
+    let plan = FaultPlan::reliable(seed).with_loss(loss);
+    let mut sim = EventSim::new(nodes, topology, plan).unwrap();
     let stats = sim.run_until_quiet(10).unwrap();
     let received = sim.into_nodes().into_iter().map(|nd| nd.received).collect();
     (stats, received)
@@ -111,15 +113,16 @@ proptest! {
     fn delivered_plus_dropped_is_total(n in 3usize..40, loss in 0.0..0.9f64, seed in 0u64..1000) {
         let (stats, received) = run(n, loss, seed);
         // Each node broadcasts once to 2 neighbors.
-        prop_assert_eq!(stats.messages + stats.dropped, 2 * n);
+        prop_assert_eq!(stats.sent + stats.dropped_loss, 2 * n);
+        prop_assert_eq!(stats.delivered, stats.sent);
         let total_received: usize = received.iter().sum();
-        prop_assert_eq!(total_received, stats.messages);
+        prop_assert_eq!(total_received, stats.delivered);
     }
 
     #[test]
     fn lossless_delivers_everything(n in 3usize..40) {
         let (stats, received) = run(n, 0.0, 0);
-        prop_assert_eq!(stats.dropped, 0);
+        prop_assert_eq!(stats.dropped_loss, 0);
         prop_assert!(received.iter().all(|&r| r == 2));
     }
 
@@ -146,8 +149,9 @@ proptest! {
 
         // The zero-fault plan must reproduce the trace exactly,
         // regardless of its seed (no random draws may be consumed).
+        let topology = ExplicitTopology::new(adj).unwrap();
         let mut faulty =
-            FaultySimulator::new(gossip_nodes(n), adj, FaultPlan::reliable(plan_seed)).unwrap();
+            EventSim::new(gossip_nodes(n), topology, FaultPlan::reliable(plan_seed)).unwrap();
         let f_stats = faulty.run_until_quiet(4 * n + 8).unwrap();
 
         prop_assert_eq!(f_stats.rounds, rel_stats.rounds, "round counts differ");
@@ -165,7 +169,7 @@ proptest! {
         // Large sample: 400 deliveries; the empirical rate should land
         // within ±0.15 of the configured probability.
         let (stats, _) = run(200, loss, seed);
-        let rate = stats.dropped as f64 / (stats.messages + stats.dropped) as f64;
+        let rate = stats.dropped_loss as f64 / (stats.sent + stats.dropped_loss) as f64;
         prop_assert!((rate - loss).abs() < 0.15, "rate {} vs p {}", rate, loss);
     }
 }

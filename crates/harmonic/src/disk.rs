@@ -192,52 +192,6 @@ pub fn harmonic_map_to_disk_traced(
     config: &HarmonicConfig,
     tracer: &Tracer,
 ) -> Result<DiskMap, HarmonicError> {
-    harmonic_map_to_disk_inner(mesh, config, None, tracer)
-}
-
-/// [`harmonic_map_to_disk`] warm-started from a previous solution.
-///
-/// `initial` gives a starting disk position per vertex (same indexing as
-/// `mesh`; typically the previous march step's [`DiskMap::positions`]).
-/// Interior vertices start the solve there instead of at the disk
-/// center; boundary vertices are pinned to the circle as usual, so the
-/// seed's boundary entries are ignored.
-///
-/// Stop-rule interaction: both solvers stop on the same residual
-/// measured at the *current* iterate, and the very first measurement is
-/// of the seed itself — a seed already within tolerance returns after
-/// zero iterations, unchanged. Warm and cold runs therefore agree only
-/// to solver tolerance, not bitwise, which is why the march pipeline
-/// keeps its cold solves (byte-determinism) and warm-starting is
-/// measured in the bench solver duel instead.
-///
-/// # Errors
-///
-/// Same as [`harmonic_map_to_disk`], plus the length precondition below.
-///
-/// # Panics
-///
-/// Panics when `initial.len() != mesh.num_vertices()`.
-pub fn harmonic_map_to_disk_warm(
-    mesh: &TriMesh,
-    config: &HarmonicConfig,
-    initial: &[Point],
-    tracer: &Tracer,
-) -> Result<DiskMap, HarmonicError> {
-    assert_eq!(
-        initial.len(),
-        mesh.num_vertices(),
-        "warm-start seed must cover every vertex"
-    );
-    harmonic_map_to_disk_inner(mesh, config, Some(initial), tracer)
-}
-
-fn harmonic_map_to_disk_inner(
-    mesh: &TriMesh,
-    config: &HarmonicConfig,
-    warm: Option<&[Point]>,
-    tracer: &Tracer,
-) -> Result<DiskMap, HarmonicError> {
     if mesh.num_triangles() == 0 {
         return Err(HarmonicError::TooSmall);
     }
@@ -313,16 +267,6 @@ fn harmonic_map_to_disk_inner(
             for (k, &v) in boundary.iter().enumerate() {
                 let theta = TAU * cumulative[k] / total;
                 pos[v] = Point::new(theta.cos(), theta.sin());
-            }
-        }
-    }
-
-    // Warm start: seed interior vertices from the supplied previous
-    // solution (boundary stays pinned).
-    if let Some(seed) = warm {
-        for v in 0..n {
-            if !is_boundary[v] {
-                pos[v] = seed[v];
             }
         }
     }
@@ -643,70 +587,6 @@ fn mean_value_weights(mesh: &TriMesh, v: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use anr_mesh::delaunay;
-
-    #[test]
-    fn warm_start_converges_faster_and_agrees() {
-        // Cold solve of a jittered grid, then re-solve a slightly moved
-        // copy warm-started from the cold solution: fewer iterations,
-        // same map to solver tolerance.
-        let mesh_a = grid(12, 5.0);
-        let cfg = HarmonicConfig::default();
-        let map_a = harmonic_map_to_disk(&mesh_a, &cfg).unwrap();
-
-        let moved: Vec<Point> = mesh_a
-            .vertices()
-            .iter()
-            .enumerate()
-            .map(|(k, p)| {
-                let dx = ((k * 31 + 7) % 13) as f64 / 13.0 - 0.5;
-                let dy = ((k * 17 + 3) % 11) as f64 / 11.0 - 0.5;
-                Point::new(p.x + 0.3 * dx, p.y + 0.3 * dy)
-            })
-            .collect();
-        let mesh_b = delaunay(&moved).unwrap();
-
-        let cold = harmonic_map_to_disk(&mesh_b, &cfg).unwrap();
-        let warm = harmonic_map_to_disk_warm(&mesh_b, &cfg, map_a.positions(), &Tracer::disabled())
-            .unwrap();
-        assert!(
-            warm.iterations() <= cold.iterations(),
-            "warm {} vs cold {}",
-            warm.iterations(),
-            cold.iterations()
-        );
-        let max_diff = cold
-            .positions()
-            .iter()
-            .zip(warm.positions())
-            .map(|(a, b)| a.distance(*b))
-            .fold(0.0f64, f64::max);
-        assert!(max_diff < 1e-6, "solutions diverge: {max_diff}");
-    }
-
-    #[test]
-    fn warm_start_from_own_solution_is_instant() {
-        let mesh = grid(10, 4.0);
-        let cfg = HarmonicConfig::default();
-        let cold = harmonic_map_to_disk(&mesh, &cfg).unwrap();
-        let warm =
-            harmonic_map_to_disk_warm(&mesh, &cfg, cold.positions(), &Tracer::disabled()).unwrap();
-        // The seed is already within tolerance: the stop rule fires on
-        // the 0th residual measurement and returns the seed unchanged.
-        assert_eq!(warm.iterations(), 0);
-        assert_eq!(warm.positions(), cold.positions());
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-start seed")]
-    fn warm_start_wrong_len_panics() {
-        let mesh = grid(4, 1.0);
-        let _ = harmonic_map_to_disk_warm(
-            &mesh,
-            &HarmonicConfig::default(),
-            &[Point::ORIGIN],
-            &Tracer::disabled(),
-        );
-    }
 
     fn grid(n: usize, s: f64) -> TriMesh {
         let mut pts = Vec::new();

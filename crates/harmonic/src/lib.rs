@@ -59,8 +59,8 @@ mod rotation;
 
 pub use compose::{DiskOverlay, MappedPoint};
 pub use disk::{
-    harmonic_map_to_disk, harmonic_map_to_disk_traced, harmonic_map_to_disk_warm,
-    harmonic_map_with_boundary, BoundaryParam, DiskMap, HarmonicConfig, Solver, Weighting,
+    harmonic_map_to_disk, harmonic_map_to_disk_traced, harmonic_map_with_boundary, BoundaryParam,
+    DiskMap, HarmonicConfig, Solver, Weighting,
 };
 pub use distributed::{
     distributed_harmonic_map, DistributedHarmonicConfig, DistributedHarmonicOutcome,

@@ -1,4 +1,4 @@
-//! M1–M3 — formal-model conformance: every `Node`/`EventNode` protocol
+//! M1–M3 — formal-model conformance: every `Node` protocol
 //! implementation declares its model class (LOCAL or CONGEST), message
 //! payload type, per-message bit budget, and rounds-to-quiescence
 //! budget in `lint.models.toml`, and the analyzer proves the code
@@ -25,7 +25,7 @@
 //! **M3 (budget wiring)** keeps the manifest honest in both directions
 //! (every shipping protocol impl has an entry; every entry matches an
 //! impl) and requires each entry to name a runtime accounting `hook` —
-//! an existing workspace function (the eventsim runners assert observed
+//! an existing workspace function (the robust runners assert observed
 //! per-message bits ≤ this module's static bound at run time).
 //!
 //! A missing `lint.models.toml` disables the M family entirely, the
@@ -227,7 +227,7 @@ pub struct ProtocolSurface {
     pub file: String,
     /// 1-based line of the impl keyword.
     pub line: u32,
-    /// Traits implemented, sorted (`EventNode`, `Node`).
+    /// Protocol traits implemented (`Node`).
     pub traits: Vec<String>,
     /// The resolved `type Msg` rendering, when a `Node` impl was found.
     pub message: Option<String>,
@@ -253,7 +253,7 @@ pub struct ModelsReport {
 
 impl ModelsReport {
     /// Serializes as `anr-lint-models/1` JSONL: one `protocol` record
-    /// per discovered `Node`/`EventNode` impl (computed message type and
+    /// per discovered `Node` impl (computed message type and
     /// bit bound, plus the declared model/budgets when the manifest
     /// covers it) and a trailing `summary`. Byte-identical across runs
     /// and worker counts.
@@ -343,7 +343,7 @@ impl ModelsReport {
     }
 }
 
-/// One discovered `impl Node for X` / `impl EventNode for X`.
+/// One discovered `impl Node for X`.
 struct ProtoImpl {
     file_idx: usize,
     line: u32,
@@ -868,8 +868,8 @@ impl BoundCtx<'_> {
     }
 }
 
-/// Scans one shipping file for `impl Node for X` / `impl EventNode for
-/// X` blocks and their `type Msg = …;` declarations.
+/// Scans one shipping file for `impl Node for X` blocks and their
+/// `type Msg = …;` declarations.
 fn scan_protocol_impls(ctx: &FileCtx, file_idx: usize) -> Vec<(String, ProtoImpl)> {
     let toks = &ctx.tokens;
     let mut out = Vec::new();
@@ -887,7 +887,7 @@ fn scan_protocol_impls(ctx: &FileCtx, file_idx: usize) -> Vec<(String, ProtoImpl
             i += 1;
             continue;
         };
-        if trait_name != "Node" && trait_name != "EventNode" {
+        if trait_name != "Node" {
             i += 1;
             continue;
         }
@@ -1053,7 +1053,7 @@ pub(crate) fn analyze_models(
                 "M3",
                 manifest_file,
                 entry.line,
-                format!("{manifest_file} entry `{name}` matches no shipping Node/EventNode impl"),
+                format!("{manifest_file} entry `{name}` matches no shipping Node impl"),
                 None,
             );
             f.severity = crate::rules::Severity::Warn;

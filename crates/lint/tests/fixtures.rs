@@ -125,14 +125,14 @@ fn h1_crate_headers() {
 
 #[test]
 fn binary_heap_with_custom_ord_is_clean() {
-    // The anr-eventsim event-queue idiom — a BinaryHeap over a manual
+    // The discrete-event queue idiom — a BinaryHeap over a manual
     // key-only Ord — must not trip any rule at a library path: heaps
     // are ordered (D1 is about hash maps), and an integer-keyed total
     // order has no partial_cmp unwrap (F1) or panic path (P1).
     let src = include_str!("fixtures/heap_ord_ok.rs");
     assert!(rules_at(LIB, src).is_empty());
-    // Same verdict inside the engine crate itself.
-    assert!(rules_at("crates/eventsim/src/fixture.rs", src).is_empty());
+    // Same verdict inside the simulator crate.
+    assert!(rules_at("crates/distsim/src/fixture.rs", src).is_empty());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Priority-queue fixture: a `BinaryHeap` over a key-only manual `Ord`
-//! — the `anr-eventsim` event-queue idiom. Must stay clean under every
+//! — the classic discrete-event queue idiom. Must stay clean under every
 //! rule: ordered collections are sanctioned (D1 targets hash maps, not
 //! heaps) and a total, integer-keyed `Ord` needs no `partial_cmp`
 //! unwrapping (F1) nor any other panic path (P1).

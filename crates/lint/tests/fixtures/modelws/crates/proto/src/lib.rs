@@ -15,10 +15,6 @@ pub trait Node {
     fn on_start(&mut self) {}
     /// Per-round hook.
     fn on_round(&mut self, round: usize);
-}
-
-/// Dormancy-certifying extension (fixture twin of the real trait).
-pub trait EventNode: Node {
     /// May the engine skip this node's empty rounds?
     fn idle(&self) -> bool {
         false
@@ -47,9 +43,7 @@ impl Node for GoodNode {
     fn on_round(&mut self, _round: usize) {
         self.heard.push(Pos { x: 0.0, y: 0.0 });
     }
-}
 
-impl EventNode for GoodNode {
     fn idle(&self) -> bool {
         self.heard.len() > 4
     }

@@ -24,11 +24,21 @@
 //!
 //! Because a pending retransmission holds no message in flight, these
 //! protocols are **not** quiescent-by-messages: run them with
-//! [`FaultySimulator::run_until`] and the convergence predicates
-//! provided by the runner functions, not `run_until_quiet`.
+//! [`EventSim::run_until`] and the convergence predicates provided by
+//! the runner functions, not `run_until_quiet`.
+//!
+//! Each protocol has one runner ([`run_robust_flood_sum`],
+//! [`run_robust_hop_field`], [`run_robust_boundary_loop`]). Every run
+//! carries CONGEST accounting: the runner measures each offered payload
+//! with the protocol's size function and fails with
+//! [`SimError::ModelBudgetExceeded`] if one outgrows the static budget
+//! declared in `lint.models.toml` (`R*_MSG_BITS` below).
 
 use anr_distsim::snapshot::{Persist, PersistError, SnapshotReader, SnapshotWriter};
-use anr_distsim::{Envelope, FaultPlan, FaultStats, FaultySimulator, Node, Outbox, SimError};
+use anr_distsim::{
+    Envelope, EventSim, ExplicitTopology, FaultPlan, FaultStats, ModelObservation, Node, Outbox,
+    SimError,
+};
 
 /// Retransmission policy shared by the robust protocols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +114,21 @@ pub enum RFloodMsg {
     },
 }
 
+/// Static per-message payload bound of [`RFloodMsg`] in bits: an 8-bit
+/// variant tag plus `Data { origin: u32, value: f64 }`. Must match the
+/// `bits` budget declared for `RobustFloodNode` in `lint.models.toml`
+/// (anr-lint rule M1 proves the type fits; the runner asserts the
+/// observed payloads stay under it).
+pub const RFLOOD_MSG_BITS: u32 = 104;
+
+/// Serialized size of one [`RFloodMsg`] payload: 8-bit tag + fields.
+fn rflood_bits(msg: &RFloodMsg) -> u32 {
+    match msg {
+        RFloodMsg::Data { .. } => 8 + 32 + 64,
+        RFloodMsg::Ack { .. } => 8 + 32,
+    }
+}
+
 /// Loss-tolerant [`FloodNode`](crate::protocols::FloodNode): every
 /// record is sent per-neighbor and retransmitted until acknowledged (or
 /// retries are exhausted).
@@ -151,14 +176,6 @@ impl RobustFloodNode {
 
     /// No more retransmissions outstanding?
     pub fn is_settled(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Dormancy predicate for event-driven engines: with no pending
-    /// retransmissions, a round with an empty inbox changes no state
-    /// and sends nothing, so the node need not be woken until a
-    /// message arrives.
-    pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -236,6 +253,13 @@ impl Node for RobustFloodNode {
         }
         tick_retransmits(&mut self.pending, round, &self.cfg, out);
     }
+
+    /// With no pending retransmissions, a round with an empty inbox
+    /// changes no state and sends nothing, so the node need not be
+    /// woken until a message arrives.
+    fn idle(&self) -> bool {
+        self.pending.is_empty()
+    }
 }
 
 /// Outcome of a robust protocol run.
@@ -243,8 +267,49 @@ impl Node for RobustFloodNode {
 pub struct RobustRunOutcome<T> {
     /// The per-robot protocol results.
     pub results: T,
-    /// Fault-harness accounting (rounds, messages, drops, churn).
+    /// Fault-engine accounting (rounds, messages, drops, churn).
     pub stats: FaultStats,
+    /// CONGEST accounting: peak payload bits (at most the protocol's
+    /// static budget), peak per-round sends, totals.
+    pub observation: ModelObservation,
+}
+
+/// Runs `nodes` over `adjacency` under `plan` until every node is
+/// `settled`, then drains the in-flight tail (stray acks, duplicates),
+/// all within `max_rounds`. Accounting measures every offer with
+/// `bits_of`.
+fn run_accounted<N: Node>(
+    nodes: Vec<N>,
+    adjacency: Vec<Vec<usize>>,
+    plan: FaultPlan,
+    max_rounds: usize,
+    settled: fn(&N) -> bool,
+    bits_of: fn(&N::Msg) -> u32,
+) -> Result<(Vec<N>, FaultStats, ModelObservation), SimError> {
+    let topology = ExplicitTopology::new(adjacency)?;
+    let mut sim = EventSim::new(nodes, topology, plan)?.with_accounting(bits_of);
+    let stats = sim.run_until(max_rounds, |nodes| nodes.iter().all(settled))?;
+    let stats = sim.run_until_quiet(max_rounds.saturating_sub(stats.rounds))?;
+    let observation = sim.model_observation().unwrap_or_default();
+    Ok((sim.into_nodes(), stats, observation))
+}
+
+/// Fails when the observed peak payload outgrows the static CONGEST
+/// budget `lint.models.toml` declares for `protocol` — the runtime side
+/// of anr-lint rule M1.
+fn check_budget(
+    protocol: &'static str,
+    observation: ModelObservation,
+    bound_bits: u32,
+) -> Result<ModelObservation, SimError> {
+    if observation.peak_payload_bits > bound_bits {
+        return Err(SimError::ModelBudgetExceeded {
+            protocol,
+            observed_bits: observation.peak_payload_bits,
+            bound_bits,
+        });
+    }
+    Ok(observation)
 }
 
 /// Runs ack/retransmit flooding of `values` over `adjacency` under
@@ -256,9 +321,10 @@ pub struct RobustRunOutcome<T> {
 ///
 /// # Errors
 ///
-/// Propagates harness errors; [`SimError::NotQuiescent`] when the
+/// Propagates engine errors; [`SimError::NotQuiescent`] when the
 /// protocol does not converge within `max_rounds` (e.g. loss so heavy
-/// that retries are exhausted).
+/// that retries are exhausted); [`SimError::ModelBudgetExceeded`] if an
+/// observed payload outgrows [`RFLOOD_MSG_BITS`].
 pub fn run_robust_flood_sum(
     values: &[f64],
     adjacency: &[Vec<usize>],
@@ -272,15 +338,19 @@ pub fn run_robust_flood_sum(
         .enumerate()
         .map(|(i, &v)| RobustFloodNode::new(i, v, n, adjacency[i].clone(), cfg))
         .collect();
-    let mut sim = FaultySimulator::new(nodes, adjacency.to_vec(), plan)?;
-    let stats = sim.run_until(max_rounds, |nodes| {
-        nodes.iter().all(RobustFloodNode::is_settled)
-    })?;
-    // Drain the tail: in-flight acks/dups may still be delivered.
-    let stats = sim.run_until_quiet(max_rounds.saturating_sub(stats.rounds))?;
+    let (nodes, stats, observation) = run_accounted(
+        nodes,
+        adjacency.to_vec(),
+        plan,
+        max_rounds,
+        RobustFloodNode::is_settled,
+        rflood_bits,
+    )?;
+    let observation = check_budget("RobustFloodNode", observation, RFLOOD_MSG_BITS)?;
     Ok(RobustRunOutcome {
-        results: sim.into_nodes().iter().map(RobustFloodNode::sum).collect(),
+        results: nodes.iter().map(RobustFloodNode::sum).collect(),
         stats,
+        observation,
     })
 }
 
@@ -299,6 +369,17 @@ pub enum RHopMsg {
     Dist(u32),
     /// Acknowledges a [`RHopMsg::Dist`] carrying this value.
     DistAck(u32),
+}
+
+/// Static per-message payload bound of [`RHopMsg`] in bits: an 8-bit
+/// variant tag plus `Dist(u32)`. Must match `lint.models.toml`.
+pub const RHOP_MSG_BITS: u32 = 40;
+
+/// Serialized size of one [`RHopMsg`] payload: 8-bit tag + fields.
+fn rhop_bits(msg: &RHopMsg) -> u32 {
+    match msg {
+        RHopMsg::Dist(_) | RHopMsg::DistAck(_) => 8 + 32,
+    }
 }
 
 /// Loss-tolerant [`HopFieldNode`](crate::protocols::HopFieldNode):
@@ -328,12 +409,6 @@ impl RobustHopFieldNode {
 
     /// No more retransmissions outstanding?
     pub fn is_settled(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Dormancy predicate for event-driven engines: see
-    /// [`RobustFloodNode::is_idle`].
-    pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -391,6 +466,12 @@ impl Node for RobustHopFieldNode {
         }
         tick_retransmits(&mut self.pending, round, &self.cfg, out);
     }
+
+    /// Idle exactly when no retransmission is pending (see
+    /// [`RobustFloodNode`]'s `idle`).
+    fn idle(&self) -> bool {
+        self.pending.is_empty()
+    }
 }
 
 /// Runs the ack/retransmit hop field; `None` entries mark robots that
@@ -398,8 +479,10 @@ impl Node for RobustHopFieldNode {
 ///
 /// # Errors
 ///
-/// Propagates harness errors; [`SimError::NotQuiescent`] when the
-/// protocol does not settle within `max_rounds`.
+/// Propagates engine errors; [`SimError::NotQuiescent`] when the
+/// protocol does not settle within `max_rounds`;
+/// [`SimError::ModelBudgetExceeded`] if an observed payload outgrows
+/// [`RHOP_MSG_BITS`].
 pub fn run_robust_hop_field(
     sources: &[bool],
     adjacency: &[Vec<usize>],
@@ -412,14 +495,19 @@ pub fn run_robust_hop_field(
         .enumerate()
         .map(|(i, &is_source)| RobustHopFieldNode::new(is_source, adjacency[i].clone(), cfg))
         .collect();
-    let mut sim = FaultySimulator::new(nodes, adjacency.to_vec(), plan)?;
-    let stats = sim.run_until(max_rounds, |nodes| {
-        nodes.iter().all(RobustHopFieldNode::is_settled)
-    })?;
-    let stats = sim.run_until_quiet(max_rounds.saturating_sub(stats.rounds))?;
+    let (nodes, stats, observation) = run_accounted(
+        nodes,
+        adjacency.to_vec(),
+        plan,
+        max_rounds,
+        RobustHopFieldNode::is_settled,
+        rhop_bits,
+    )?;
+    let observation = check_budget("RobustHopFieldNode", observation, RHOP_MSG_BITS)?;
     Ok(RobustRunOutcome {
-        results: sim.into_nodes().into_iter().map(|nd| nd.hops).collect(),
+        results: nodes.into_iter().map(|nd| nd.hops).collect(),
         stats,
+        observation,
     })
 }
 
@@ -463,6 +551,21 @@ pub enum RLoopMsg {
         /// Acknowledged attempt.
         attempt: u32,
     },
+}
+
+/// Static per-message payload bound of [`RLoopMsg`] in bits: an 8-bit
+/// variant tag plus `Token { initiator, hops, attempt: u32 }`. Must
+/// match `lint.models.toml`.
+pub const RLOOP_MSG_BITS: u32 = 104;
+
+/// Serialized size of one [`RLoopMsg`] payload: 8-bit tag + fields.
+fn rloop_bits(msg: &RLoopMsg) -> u32 {
+    match msg {
+        RLoopMsg::Token { .. } => 8 + 32 + 32 + 32,
+        RLoopMsg::TokenAck { .. } => 8 + 32 + 32,
+        RLoopMsg::Size { .. } => 8 + 32 + 32,
+        RLoopMsg::SizeAck { .. } => 8 + 32,
+    }
 }
 
 /// Loss-tolerant [`BoundaryLoopNode`](crate::protocols::BoundaryLoopNode):
@@ -537,15 +640,6 @@ impl RobustBoundaryLoopNode {
     /// Has this node learned everything and stopped transmitting?
     pub fn is_settled(&self) -> bool {
         self.index.is_some() && self.loop_size.is_some() && self.pending.is_empty()
-    }
-
-    /// Dormancy predicate for event-driven engines. Beyond an empty
-    /// retransmit queue, the initiator is only idle once its restart
-    /// timer can never fire again: the token came home, or every
-    /// restart attempt has been spent.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-            && (!self.is_initiator || self.token_returned || self.attempt + 1 >= self.max_attempts)
     }
 
     fn send_tracked(
@@ -699,6 +793,14 @@ impl Node for RobustBoundaryLoopNode {
         }
         tick_retransmits(&mut self.pending, round, &self.cfg, out);
     }
+
+    /// Beyond an empty retransmit queue, the initiator is only idle
+    /// once its restart timer can never fire again: the token came
+    /// home, or every restart attempt has been spent.
+    fn idle(&self) -> bool {
+        self.pending.is_empty()
+            && (!self.is_initiator || self.token_returned || self.attempt + 1 >= self.max_attempts)
+    }
 }
 
 /// Runs the robust boundary-loop protocol over a cyclic order of
@@ -707,8 +809,10 @@ impl Node for RobustBoundaryLoopNode {
 ///
 /// # Errors
 ///
-/// Propagates harness errors; [`SimError::NotQuiescent`] when the loop
-/// is not labeled within `max_rounds`.
+/// Propagates engine errors; [`SimError::NotQuiescent`] when the loop
+/// is not labeled within `max_rounds`;
+/// [`SimError::ModelBudgetExceeded`] if an observed payload outgrows
+/// [`RLOOP_MSG_BITS`].
 ///
 /// # Panics
 ///
@@ -734,12 +838,15 @@ pub fn run_robust_boundary_loop(
         })
         .collect();
     let adjacency: Vec<Vec<usize>> = (0..n).map(|i| vec![(i + n - 1) % n, (i + 1) % n]).collect();
-    let mut sim = FaultySimulator::new(nodes, adjacency, plan)?;
-    let stats = sim.run_until(max_rounds, |nodes| {
-        nodes.iter().all(RobustBoundaryLoopNode::is_settled)
-    })?;
-    let stats = sim.run_until_quiet(max_rounds.saturating_sub(stats.rounds))?;
-    let nodes = sim.into_nodes();
+    let (nodes, stats, observation) = run_accounted(
+        nodes,
+        adjacency,
+        plan,
+        max_rounds,
+        RobustBoundaryLoopNode::is_settled,
+        rloop_bits,
+    )?;
+    let observation = check_budget("RobustBoundaryLoopNode", observation, RLOOP_MSG_BITS)?;
     // A vertex the token never reached (round cap under heavy faults)
     // has no index/size to harvest — typed error, not a panic.
     let unfinished: Vec<usize> = nodes
@@ -760,6 +867,7 @@ pub fn run_robust_boundary_loop(
             .map(|nd| (nd.index.unwrap_or(0), nd.loop_size.unwrap_or(0)))
             .collect(),
         stats,
+        observation,
     })
 }
 
@@ -767,7 +875,7 @@ pub fn run_robust_boundary_loop(
 // Checkpoint support: byte-stable Persist impls
 // ---------------------------------------------------------------------
 //
-// The discrete-event engine snapshots node state mid-run. The robust
+// The event engine snapshots node state mid-run. The robust
 // nodes keep their retransmit queues private, so the codecs live here.
 // Encodings follow the snapshot module's rules: fields in declaration
 // order, enum tags in declaration order.
@@ -1192,17 +1300,17 @@ mod tests {
         // after launch).
         let cfg = RetransmitConfig::default();
         let follower = RobustBoundaryLoopNode::new(1, false, 2, cfg, 30, 4);
-        assert!(follower.is_idle());
+        assert!(follower.idle());
         let mut initiator = RobustBoundaryLoopNode::new(0, true, 1, cfg, 30, 4);
         let mut out = Outbox::default();
         initiator.on_start(&mut out);
-        assert!(!initiator.is_idle());
+        assert!(!initiator.idle());
         // Flood/hop nodes: idle exactly when the retransmit queue is
         // empty.
         let flood = RobustFloodNode::new(0, 1.0, 3, vec![1], cfg);
-        assert!(!flood.is_settled() || flood.is_idle());
+        assert!(!flood.is_settled() || flood.idle());
         let hop = RobustHopFieldNode::new(false, vec![1], cfg);
-        assert!(hop.is_idle());
+        assert!(hop.idle());
     }
 
     #[test]

@@ -71,8 +71,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash of `bytes` — the same construction the eventsim
-/// checkpoints use; endianness-free and dependency-free.
+/// FNV-1a 64-bit hash of `bytes` — the same construction the event
+/// engine's checkpoints use; endianness-free and dependency-free.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
