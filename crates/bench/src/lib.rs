@@ -29,8 +29,7 @@ pub use distsim::{
 };
 pub use serve::{run_serve_bench, BusyBurst, PhaseStats, ServeBenchOptions, ServeBenchReport};
 pub use timing::{
-    parse_march_stage_medians, run_pipeline_bench, stage_regressions, BenchOptions,
-    PipelineBenchReport, ScaleTierTiming,
+    run_pipeline_bench, stage_regressions, BenchOptions, MarchTiming, PipelineBenchReport,
 };
 
 use anr_march::{
@@ -65,14 +64,9 @@ pub enum BenchError {
         /// FoI separation (in communication ranges) of the failing row.
         separation: f64,
     },
-    /// A wall-timing helper produced a different number of repetition
-    /// spans than requested — the tracer dropped or mislabelled spans.
-    TimingMissing {
-        /// Repetitions requested.
-        expected: usize,
-        /// Spans actually recorded.
-        got: usize,
-    },
+    /// A wall-clock trace could not be folded into timing rows (the
+    /// ring dropped events or a span never ended).
+    Trace(anr_trace::FoldError),
     /// The serve load generator observed a response stream that failed
     /// protocol validation.
     Serve(String),
@@ -94,10 +88,7 @@ impl fmt::Display for BenchError {
                 f,
                 "method `{method}` missing from scenario {scenario} results at separation {separation}"
             ),
-            BenchError::TimingMissing { expected, got } => write!(
-                f,
-                "wall timing recorded {got} repetition spans, expected {expected}"
-            ),
+            BenchError::Trace(e) => write!(f, "timing trace: {e}"),
             BenchError::Serve(msg) => write!(f, "serve bench: {msg}"),
         }
     }
@@ -114,6 +105,12 @@ impl From<ScenarioError> for BenchError {
 impl From<MarchError> for BenchError {
     fn from(e: MarchError) -> Self {
         BenchError::March(e)
+    }
+}
+
+impl From<anr_trace::FoldError> for BenchError {
+    fn from(e: anr_trace::FoldError) -> Self {
+        BenchError::Trace(e)
     }
 }
 

@@ -133,24 +133,20 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-fn phase_stats(
-    requests: usize,
-    latencies: &[f64],
-    phase_ms: f64,
-) -> Result<PhaseStats, BenchError> {
-    if latencies.len() != requests {
+/// Stats of one phase from its request latencies (ascending) and its
+/// wall time.
+fn phase_stats(requests: usize, sorted: &[f64], phase_ms: f64) -> Result<PhaseStats, BenchError> {
+    if sorted.len() != requests {
         return Err(BenchError::Serve(format!(
             "phase recorded {} latency spans, expected {requests}",
-            latencies.len()
+            sorted.len()
         )));
     }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
     let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
     Ok(PhaseStats {
         requests,
-        p50_ms: percentile(&sorted, 0.50),
-        p99_ms: percentile(&sorted, 0.99),
+        p50_ms: percentile(sorted, 0.50),
+        p99_ms: percentile(sorted, 0.99),
         mean_ms: mean,
         throughput_rps: if phase_ms > 0.0 {
             requests as f64 * 1000.0 / phase_ms
@@ -215,8 +211,17 @@ fn run_phase(
     Ok(hashes)
 }
 
+/// Wall time of every `name` span, milliseconds, ascending.
+fn span_ms(tracer: &Tracer, name: &'static str) -> Result<Vec<f64>, BenchError> {
+    let rows = tracer.fold_spans(name)?;
+    Ok(rows
+        .first()
+        .map(|r| r.durations_ms().to_vec())
+        .unwrap_or_default())
+}
+
 fn single_phase_ms(tracer: &Tracer, name: &'static str) -> Result<f64, BenchError> {
-    let durations = tracer.span_durations_ms(name);
+    let durations = span_ms(tracer, name)?;
     match durations.as_slice() {
         [ms] => Ok(*ms),
         other => Err(BenchError::Serve(format!(
@@ -260,12 +265,12 @@ fn run_load(
 
     let cold = phase_stats(
         requests,
-        &tracer.span_durations_ms("serve_cold"),
+        &span_ms(tracer, "serve_cold")?,
         single_phase_ms(tracer, "serve_cold_phase")?,
     )?;
     let hot = phase_stats(
         requests,
-        &tracer.span_durations_ms("serve_hot"),
+        &span_ms(tracer, "serve_hot")?,
         single_phase_ms(tracer, "serve_hot_phase")?,
     )?;
 

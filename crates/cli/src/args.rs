@@ -115,7 +115,7 @@ pub enum Command {
     Bench {
         /// Tiny problem sizes and one repeat — a CI smoke run.
         smoke: bool,
-        /// Timed repetitions per stage (the median is reported).
+        /// Timed runs per scenario (min/median/max are reported).
         repeats: usize,
         /// Run the event-engine scaling tier (`anr-distsim`) instead
         /// of the pipeline trajectory.

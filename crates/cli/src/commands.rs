@@ -502,7 +502,10 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
                 eprintln!(
                     "scale tier: {} robots marched end-to-end in {:.0} ms \
                      ({} timeline rows, {} audit checks)",
-                    t.robots, t.march_ms, t.timeline_rows, t.audit_checks,
+                    t.robots,
+                    t.march.median_ms(),
+                    t.timeline_rows,
+                    t.audit_checks,
                 );
             }
             if let Some(baseline_path) = &against {
@@ -513,7 +516,7 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
                         eprintln!("stage regression: {r}");
                     }
                     return Err(CliError::BadParameter(format!(
-                        "{} pipeline stage(s) regressed beyond 2x the baseline {}",
+                        "{} pipeline stage(s) regressed beyond 2x or missing against the baseline {}",
                         regressions.len(),
                         baseline_path.display(),
                     )));
@@ -525,15 +528,12 @@ pub fn run_command_traced(command: Command, tracer: &Tracer) -> Result<(), CliEr
             }
             for sc in &report.scenarios {
                 eprintln!(
-                    "scenario {}: {} robots, {} mesh vertices — PCG {:.1} ms vs GS {:.1} ms \
-                     ({:.1}× speedup, max diff {:.1e})",
+                    "scenario {}: {} robots marched in {:.1} ms (median of {}; {} stage rows)",
                     sc.id,
                     sc.robots,
-                    sc.mesh_vertices,
-                    sc.harmonic.pcg_ms,
-                    sc.harmonic.gs_ms,
-                    sc.harmonic.speedup,
-                    sc.harmonic.max_position_diff,
+                    sc.march.median_ms(),
+                    sc.march.calls(),
+                    sc.stages.len(),
                 );
             }
             eprintln!(

@@ -73,7 +73,8 @@ pub fn march(
 
 /// [`march`] with structured tracing: every pipeline stage runs inside a
 /// span (`triangulate`, `harmonic_m1`, `harmonic_m2`, `rotation`,
-/// `repair`, `lloyd`, plus `trajectories` and `metrics`), rotation
+/// `repair`, `lloyd`, plus `trajectories` and `metrics`; `harmonic_m2`
+/// splits into `foi_mesh`, `fill_holes` and `disk_solve`), rotation
 /// evaluations and solver iterations are emitted as events, and the
 /// produced outcome is **byte-identical** to the untraced run — tracing
 /// observes, never steers (pinned by a test below).
@@ -137,9 +138,21 @@ pub fn march_traced(
     let spacing = config.resolve_mesh_spacing(problem.m2.area(), n);
     let overlay = {
         let _s = tracer.span("harmonic_m2");
-        let foi2 = FoiMesher::new(spacing).mesh(&problem.m2)?;
-        let filled2 = fill_holes(foi2.mesh())?;
-        let disk2 = harmonic_map_to_disk_traced(filled2.mesh(), &config.harmonic, tracer)?;
+        let foi2 = {
+            let _s = tracer.span("foi_mesh");
+            FoiMesher::new(spacing).mesh(&problem.m2)?
+        };
+        let filled2 = {
+            let _s = tracer.span("fill_holes");
+            fill_holes(foi2.mesh())?
+        };
+        let disk2 = {
+            let _s = tracer.span("disk_solve");
+            let disk2 = harmonic_map_to_disk_traced(filled2.mesh(), &config.harmonic, tracer)?;
+            tracer.counter_add("harmonic.vertices", filled2.mesh().num_vertices() as u64);
+            tracer.counter_add("harmonic.iterations", disk2.iterations() as u64);
+            disk2
+        };
         DiskOverlay::new(
             filled2.mesh(),
             disk2.positions(),

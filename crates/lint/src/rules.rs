@@ -391,7 +391,7 @@ const TRACE_ALLOW: &[&str] = &[
     "events",
     "take_events",
     "dropped",
-    "span_durations_ms",
+    "fold_spans",
     "disabled",
     "ring",
     "wall",

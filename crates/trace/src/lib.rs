@@ -45,12 +45,16 @@
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+mod fold;
 mod wall;
+pub use fold::{FoldError, SpanRow};
 use wall::WallStamp;
 
 /// A field value attached to a trace record.
@@ -157,7 +161,6 @@ struct Histogram {
 struct State {
     seq: u64,
     next_span: u64,
-    stack: Vec<u64>,
     ring: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
@@ -168,8 +171,68 @@ struct State {
 }
 
 struct Inner {
+    /// Process-unique key of this stream in the per-thread span stacks.
+    key: u64,
     wall: Option<WallStamp>,
     state: Mutex<State>,
+}
+
+/// Source of [`Inner::key`]s.
+static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The spans this thread has open, innermost last, per tracer
+    /// stream (keyed by [`Inner::key`]). A span's parent is the span
+    /// open on the *same* thread, so threads sharing one tracer never
+    /// adopt or unwind each other's spans. Entries are removed once
+    /// their stack empties.
+    static OPEN: RefCell<Vec<(u64, Vec<u64>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The innermost span the calling thread has open on stream `key`
+/// (0 = none).
+fn open_span(key: u64) -> u64 {
+    OPEN.try_with(|open| {
+        open.borrow()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, stack)| stack.last().copied())
+    })
+    .ok()
+    .flatten()
+    .unwrap_or(0)
+}
+
+// The stack helpers use `try_with`: a guard dropped while the thread's
+// locals are being destroyed must not panic.
+fn push_open(key: u64, id: u64) {
+    let _ = OPEN.try_with(|open| {
+        let mut open = open.borrow_mut();
+        match open.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, stack)) => stack.push(id),
+            None => open.push((key, vec![id])),
+        }
+    });
+}
+
+/// Unwinds the calling thread's stack on stream `key` down to (and
+/// including) span `id`: spans are guards, so an early-dropped inner
+/// span has already popped. A span this thread does not hold (its guard
+/// moved threads) leaves the stack alone.
+fn pop_open(key: u64, id: u64) {
+    let _ = OPEN.try_with(|open| {
+        let mut open = open.borrow_mut();
+        let Some(at) = open.iter().position(|(k, _)| *k == key) else {
+            return;
+        };
+        let stack = &mut open[at].1;
+        if let Some(pos) = stack.iter().rposition(|&s| s == id) {
+            stack.truncate(pos);
+        }
+        if stack.is_empty() {
+            open.swap_remove(at);
+        }
+    });
 }
 
 /// A structured tracer handle.
@@ -261,11 +324,11 @@ impl Tracer {
         }
         Tracer {
             inner: Some(Arc::new(Inner {
+                key: NEXT_KEY.fetch_add(1, Ordering::Relaxed),
                 wall: config.wall_clock.then(wall::stamp),
                 state: Mutex::new(State {
                     seq: 0,
                     next_span: 0,
-                    stack: Vec::new(),
                     ring: VecDeque::new(),
                     capacity: config.capacity.max(1),
                     dropped: 0,
@@ -286,9 +349,10 @@ impl Tracer {
         !cfg!(feature = "off") && self.inner.is_some()
     }
 
-    /// Opens a span named `name` nested under the currently open span.
+    /// Opens a span named `name` nested under the span the calling
+    /// thread has open (spans opened on other threads are not parents).
     /// The span closes (emitting a `span_end` record) when the returned
-    /// guard drops.
+    /// guard drops; drop it on the thread that opened it.
     #[must_use]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         self.span_with(name, Vec::new())
@@ -311,12 +375,15 @@ impl Tracer {
             };
         };
         let started = inner.wall.map(|_| wall::stamp());
-        let mut st = lock(&inner.state);
-        st.next_span += 1;
-        let id = st.next_span;
-        let parent = st.stack.last().copied().unwrap_or(0);
-        st.stack.push(id);
-        emit(&mut st, TraceKind::SpanStart, name, id, parent, fields);
+        let parent = open_span(inner.key);
+        let id = {
+            let mut st = lock(&inner.state);
+            st.next_span += 1;
+            let id = st.next_span;
+            emit(&mut st, TraceKind::SpanStart, name, id, parent, fields);
+            id
+        };
+        push_open(inner.key, id);
         SpanGuard {
             tracer: self.clone(),
             id,
@@ -326,11 +393,12 @@ impl Tracer {
         }
     }
 
-    /// Emits an instant event inside the currently open span.
+    /// Emits an instant event inside the span the calling thread has
+    /// open.
     pub fn event(&self, name: &'static str, fields: &[(&'static str, TraceValue)]) {
         let Some(inner) = &self.inner else { return };
+        let span = open_span(inner.key);
         let mut st = lock(&inner.state);
-        let span = st.stack.last().copied().unwrap_or(0);
         emit(&mut st, TraceKind::Event, name, span, 0, fields.to_vec());
     }
 
@@ -338,13 +406,13 @@ impl Tracer {
     /// carrying both the delta and the new total.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         let Some(inner) = &self.inner else { return };
+        let span = open_span(inner.key);
         let mut st = lock(&inner.state);
         let total = {
             let t = st.counters.entry(name).or_insert(0);
             *t += delta;
             *t
         };
-        let span = st.stack.last().copied().unwrap_or(0);
         emit(
             &mut st,
             TraceKind::Counter,
@@ -361,6 +429,7 @@ impl Tracer {
     /// Records one sample into the named histogram and emits a record.
     pub fn hist_record(&self, name: &'static str, value: f64) {
         let Some(inner) = &self.inner else { return };
+        let span = open_span(inner.key);
         let mut st = lock(&inner.state);
         {
             let h = st.hists.entry(name).or_default();
@@ -374,7 +443,6 @@ impl Tracer {
             h.count += 1;
             h.sum += value;
         }
-        let span = st.stack.last().copied().unwrap_or(0);
         emit(
             &mut st,
             TraceKind::Hist,
@@ -431,25 +499,28 @@ impl Tracer {
         lock(&inner.state).dropped
     }
 
-    /// Wall-clock durations (milliseconds) of every closed span named
-    /// `name` still in the ring buffer, in completion order. Empty
-    /// unless the tracer was built with [`TraceConfig::wall_clock`].
-    #[must_use]
-    pub fn span_durations_ms(&self, name: &str) -> Vec<f64> {
+    /// Folds this wall-clock trace into one [`SpanRow`] per span path
+    /// under every span named `root`: the root row first (path `root`),
+    /// then each path below it (`harmonic_m2/foi_mesh`) in the order it
+    /// first opened, with every call's duration and the counters emitted
+    /// directly inside. A disabled tracer (or the `off` feature) yields
+    /// no rows.
+    ///
+    /// # Errors
+    ///
+    /// [`FoldError::Dropped`] when the ring evicted events,
+    /// [`FoldError::Unclosed`] when a span at or below a root is still
+    /// open, [`FoldError::NoWallClock`] when a root span ended without a
+    /// wall duration.
+    pub fn fold_spans(&self, root: &str) -> Result<Vec<SpanRow>, FoldError> {
         let Some(inner) = &self.inner else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
-        lock(&inner.state)
-            .ring
-            .iter()
-            .filter(|e| e.kind == TraceKind::SpanEnd && e.name == name)
-            .filter_map(|e| {
-                e.fields.iter().find_map(|(k, v)| match (k, v) {
-                    (&"dur_ns", TraceValue::U64(ns)) => Some(*ns as f64 / 1e6),
-                    _ => None,
-                })
-            })
-            .collect()
+        let st = lock(&inner.state);
+        if st.dropped > 0 {
+            return Err(FoldError::Dropped { events: st.dropped });
+        }
+        fold::fold(st.ring.iter(), root)
     }
 
     /// Flushes the JSONL sink, surfacing any deferred write error.
@@ -475,15 +546,8 @@ impl Tracer {
 
     fn end_span(&self, guard: &SpanGuard) {
         let Some(inner) = &self.inner else { return };
+        pop_open(inner.key, guard.id);
         let mut st = lock(&inner.state);
-        // Unwind the stack down to (and including) this span: spans are
-        // guards, so an early-dropped inner span has already popped.
-        while let Some(&top) = st.stack.last() {
-            st.stack.pop();
-            if top == guard.id {
-                break;
-            }
-        }
         let mut fields = Vec::new();
         if let Some(started) = guard.started {
             fields.push(("dur_ns", TraceValue::U64(started.elapsed_ns())));
@@ -807,20 +871,71 @@ mod tests {
     #[test]
     #[cfg(not(feature = "off"))]
     fn wall_clock_records_durations() {
+        let dur_ns = |t: &Tracer| {
+            t.events()
+                .iter()
+                .filter(|e| e.kind == TraceKind::SpanEnd)
+                .flat_map(|e| e.fields.clone())
+                .filter(|(k, _)| *k == "dur_ns")
+                .count()
+        };
         let t = Tracer::wall(16);
         {
             let _s = t.span("timed");
             std::hint::black_box((0..1000).sum::<u64>());
         }
-        let durs = t.span_durations_ms("timed");
-        assert_eq!(durs.len(), 1);
-        assert!(durs[0] >= 0.0);
+        assert_eq!(dur_ns(&t), 1);
         // Logical-clock tracers carry no durations.
         let t2 = Tracer::ring(16);
         {
             let _s = t2.span("timed");
         }
-        assert!(t2.span_durations_ms("timed").is_empty());
+        assert_eq!(dur_ns(&t2), 0);
+    }
+
+    /// Two threads sharing one tracer each nest their spans under their
+    /// own open span, never under the other thread's.
+    #[test]
+    #[cfg(not(feature = "off"))]
+    fn span_parents_are_per_thread() {
+        use std::sync::Barrier;
+        let t = Tracer::ring(64);
+        let step = Barrier::new(2);
+        let threads = ["a", "b"];
+        anr_par::par_map(&threads, threads.len(), |&thread| {
+            if thread == "a" {
+                let a_outer = t.span("a_outer");
+                step.wait(); // a_outer open
+                step.wait(); // b_outer open
+                drop(a_outer);
+                step.wait(); // a_outer closed
+            } else {
+                step.wait();
+                let _b_outer = t.span("b_outer");
+                step.wait();
+                step.wait();
+                let _b_inner = t.span("b_inner");
+            }
+        });
+        let evs = t.events();
+        let start = |name: &str| {
+            evs.iter()
+                .find(|e| e.kind == TraceKind::SpanStart && e.name == name)
+                .unwrap()
+        };
+        assert_eq!(start("a_outer").parent, 0);
+        assert_eq!(
+            start("b_outer").parent,
+            0,
+            "adopted the other thread's span"
+        );
+        assert_eq!(start("b_inner").parent, start("b_outer").span);
+        let end = |name: &str| {
+            evs.iter()
+                .find(|e| e.kind == TraceKind::SpanEnd && e.name == name)
+                .unwrap()
+        };
+        assert_eq!(end("b_inner").parent, start("b_outer").span);
     }
 
     #[test]
