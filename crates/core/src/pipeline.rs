@@ -270,7 +270,12 @@ pub fn march_traced(
         // Fine partition: ≥ ~50 samples per robot cell, so the weighted
         // centroids resolve the density gradient instead of locking into
         // a coarse discrete fixed point.
-        let partition = GridPartition::new(&problem.m2, spacing * 0.2);
+        let partition = {
+            let _s = tracer.span("partition");
+            let partition = GridPartition::new(&problem.m2, spacing * 0.2);
+            tracer.counter_add("lloyd.samples", partition.samples().len() as u64);
+            partition
+        };
         // The timeline metrics need the per-iteration site history.
         let lloyd_config = anr_coverage::LloydConfig {
             record_history: true,

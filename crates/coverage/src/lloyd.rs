@@ -128,10 +128,12 @@ pub fn run_lloyd_guarded(
 }
 
 /// [`run_lloyd_guarded`] with per-iteration observability: every
-/// iteration emits a `lloyd_iter` event on `tracer` carrying the
-/// iteration number, the accepted step fraction (1.0 for an unguarded
-/// full step, 0.0 when even the smallest step would disconnect), and the
-/// largest single-site move. Tracing is observation only — results are
+/// iteration runs in an `iteration` span, adds the number of step
+/// fractions it tried to the `lloyd.guard_tries` counter, and emits a
+/// `lloyd_iter` event on `tracer` carrying the iteration number, the
+/// accepted step fraction (1.0 for an unguarded full step, 0.0 when
+/// even the smallest step would disconnect), and the largest
+/// single-site move. Tracing is observation only — results are
 /// bit-identical to [`run_lloyd_guarded`].
 ///
 /// # Panics
@@ -158,13 +160,16 @@ pub fn run_lloyd_guarded_traced(
 
     while iterations < config.max_iterations {
         iterations += 1;
+        let _iteration = tracer.span("iteration");
         let targets = partition.centroids(&cur, density);
 
         // Find the largest fraction of the step that keeps the network
         // connected. Full step first, then halve.
         let mut fraction = 1.0f64;
         let mut accepted = false;
+        let mut tries = 0u64;
         for _ in 0..7 {
+            tries += 1;
             let mut moved = false;
             for ((c, s), t) in candidate.iter_mut().zip(&cur).zip(&targets) {
                 let p = s.lerp(*t, fraction);
@@ -198,6 +203,7 @@ pub fn run_lloyd_guarded_traced(
             total_movement += d;
             max_move = max_move.max(d);
         }
+        tracer.counter_add("lloyd.guard_tries", tries);
         if tracer.is_enabled() {
             tracer.event(
                 "lloyd_iter",

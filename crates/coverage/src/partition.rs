@@ -74,19 +74,24 @@ impl GridPartition {
     ///
     /// Panics when `sites` is empty.
     pub fn assign(&self, sites: &[Point]) -> Vec<Vec<usize>> {
+        let mut regions: Vec<Vec<usize>> = vec![Vec::new(); sites.len()];
+        for (k, &i) in self.nearest_sites(sites).iter().flatten().enumerate() {
+            regions[i].push(k);
+        }
+        regions
+    }
+
+    /// The nearest-site pass: each sample's site index, per sample chunk
+    /// in sample order.
+    fn nearest_sites(&self, sites: &[Point]) -> Vec<Vec<usize>> {
         assert!(!sites.is_empty(), "need at least one site");
         let grid = NearestGrid::new(sites);
-        let nearest = anr_par::par_chunks(&self.samples, 2048, 0, |chunk| {
+        anr_par::par_chunks(&self.samples, 2048, 0, |chunk| {
             chunk
                 .iter()
                 .map(|&s| grid.nearest(sites, s))
                 .collect::<Vec<usize>>()
-        });
-        let mut regions: Vec<Vec<usize>> = vec![Vec::new(); sites.len()];
-        for (k, &i) in nearest.iter().flatten().enumerate() {
-            regions[i].push(k);
-        }
-        regions
+        })
     }
 
     /// Reference nearest-site pass: the plain `samples × sites` loop the
@@ -122,27 +127,32 @@ impl GridPartition {
     /// Sites whose region is empty keep their current position. Centroids
     /// that fall outside the region (possible for concave regions and
     /// holes) are snapped to the nearest region point, per Sec. III-D-3.
+    ///
+    /// Each sample's weighted position is added to its site's sums
+    /// straight off the nearest-site pass, in ascending sample order —
+    /// the order [`GridPartition::assign`]'s region lists hold — so no
+    /// region lists are built and the sums are bit-identical to summing
+    /// over them.
     pub fn centroids(&self, sites: &[Point], density: &Density) -> Vec<Point> {
-        let regions = self.assign(sites);
+        // Per site: Σρx, Σρy, Σρ and the sample count.
+        let mut sums = vec![(0.0f64, 0.0f64, 0.0f64, 0usize); sites.len()];
+        for (k, &i) in self.nearest_sites(sites).iter().flatten().enumerate() {
+            let p = self.samples[k];
+            let rho = density.eval(&self.region, p);
+            let s = &mut sums[i];
+            s.0 += rho * p.x;
+            s.1 += rho * p.y;
+            s.2 += rho;
+            s.3 += 1;
+        }
         sites
             .iter()
-            .enumerate()
-            .map(|(i, &site)| {
-                if regions[i].is_empty() {
+            .zip(&sums)
+            .map(|(&site, &(wx, wy, w, count))| {
+                if count == 0 {
                     return site;
                 }
-                let mut wx = 0.0;
-                let mut wy = 0.0;
-                let mut w = 0.0;
-                for &k in &regions[i] {
-                    let p = self.samples[k];
-                    let rho = density.eval(&self.region, p);
-                    wx += rho * p.x;
-                    wy += rho * p.y;
-                    w += rho;
-                }
-                let c = Point::new(wx / w, wy / w);
-                self.region.clamp_inside(c)
+                self.region.clamp_inside(Point::new(wx / w, wy / w))
             })
             .collect()
     }
@@ -274,6 +284,70 @@ mod tests {
         // Degenerate: all sites coincident.
         let sites = vec![Point::new(5.0, 5.0); 4];
         assert_eq!(part.assign(&sites), part.assign_brute_force(&sites));
+    }
+
+    #[test]
+    fn fused_centroids_match_region_list_sums() {
+        // The formula `centroids` replaced: sums over `assign`'s lists.
+        fn via_regions(part: &GridPartition, sites: &[Point], density: &Density) -> Vec<Point> {
+            let regions = part.assign(sites);
+            sites
+                .iter()
+                .zip(&regions)
+                .map(|(&site, region)| {
+                    if region.is_empty() {
+                        return site;
+                    }
+                    let (mut wx, mut wy, mut w) = (0.0, 0.0, 0.0);
+                    for &k in region {
+                        let p = part.samples()[k];
+                        let rho = density.eval(part.region(), p);
+                        wx += rho * p.x;
+                        wy += rho * p.y;
+                        w += rho;
+                    }
+                    part.region().clamp_inside(Point::new(wx / w, wy / w))
+                })
+                .collect()
+        }
+        let outer = Polygon::rectangle(Point::ORIGIN, 300.0, 200.0);
+        let hole = Polygon::regular(Point::new(150.0, 100.0), 40.0, 16);
+        let region = PolygonWithHoles::new(outer, vec![hole]).unwrap();
+        let part = GridPartition::new(&region, 1.7);
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut sites: Vec<Point> = (0..150)
+            .map(|_| Point::new(next() * 300.0, next() * 200.0))
+            .collect();
+        sites.push(sites[3]); // tie: the duplicate's region is empty
+        sites.push(Point::new(-9000.0, 9000.0)); // far away: empty region
+        for density in [
+            Density::Uniform,
+            Density::Radial {
+                center: Point::new(40.0, 60.0),
+                falloff: 25.0,
+                gain: 6.0,
+            },
+            Density::HoleProximity {
+                falloff: 30.0,
+                gain: 8.0,
+            },
+        ] {
+            let fused = part.centroids(&sites, &density);
+            let want = via_regions(&part, &sites, &density);
+            assert_eq!(fused.len(), want.len());
+            for (a, b) in fused.iter().zip(&want) {
+                assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

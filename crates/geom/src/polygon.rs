@@ -182,13 +182,15 @@ impl Polygon {
     /// Point-in-polygon test (boundary counts as inside).
     ///
     /// Crossing-number algorithm, orientation-agnostic. Points within a
-    /// small tolerance of the boundary are reported as contained.
+    /// small tolerance of the boundary are reported as contained. The
+    /// crossing number runs first: only a point it calls outside pays
+    /// for the bounding box and the boundary distance.
     pub fn contains(&self, p: Point) -> bool {
-        let scale = self.bbox().diagonal().max(1.0);
-        if self.distance_to_boundary(p) <= EPS * scale * 10.0 {
+        if self.contains_strict(p) {
             return true;
         }
-        self.contains_strict(p)
+        let scale = self.bbox().diagonal().max(1.0);
+        self.distance_to_boundary(p) <= EPS * scale * 10.0
     }
 
     /// Point-in-polygon by crossing number, with no boundary tolerance.
@@ -237,8 +239,25 @@ impl Polygon {
     /// Does the open segment `(a, b)` cross the polygon boundary?
     ///
     /// Endpoint touches on the boundary are not counted as crossings.
+    ///
+    /// Edges whose bounding box misses the segment's are skipped before
+    /// the exact [`Segment::crosses_interior`] test. The boxes are
+    /// compared with a slack of `1e-5` of the two pieces' extents and
+    /// coordinate magnitudes — past both the `EPS` parameter slack
+    /// [`Segment::intersection`] accepts and its rounding, so a skipped
+    /// edge is one the exact test would not report.
     pub fn segment_crosses_boundary(&self, seg: Segment) -> bool {
-        self.edges().any(|e| seg.crosses_interior(e))
+        let (sb, ss) = slack_box(seg);
+        self.edges().any(|e| {
+            let (eb, es) = slack_box(e);
+            // NaN or infinite sizes make every comparison false: no skip.
+            let slack = 1e-5 * (ss + es);
+            let apart = eb.min.x > sb.max.x + slack
+                || sb.min.x > eb.max.x + slack
+                || eb.min.y > sb.max.y + slack
+                || sb.min.y > eb.max.y + slack;
+            !apart && seg.crosses_interior(e)
+        })
     }
 
     /// Resamples the boundary at (approximately) uniform arclength
@@ -360,6 +379,21 @@ impl Polygon {
     }
 }
 
+/// Bounding box of `s` and the size its box-test slack scales with:
+/// the box's extent plus the largest coordinate magnitude.
+fn slack_box(s: Segment) -> (Aabb, f64) {
+    let min = Point::new(s.a.x.min(s.b.x), s.a.y.min(s.b.y));
+    let max = Point::new(s.a.x.max(s.b.x), s.a.y.max(s.b.y));
+    let magnitude =
+        s.a.x
+            .abs()
+            .max(s.a.y.abs())
+            .max(s.b.x.abs())
+            .max(s.b.y.abs());
+    let size = (max.x - min.x) + (max.y - min.y) + magnitude;
+    (Aabb { min, max }, size)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,6 +491,166 @@ mod tests {
         let inside = Segment::new(p(0.25, 0.25), p(0.75, 0.75));
         assert!(sq.segment_crosses_boundary(crossing));
         assert!(!sq.segment_crosses_boundary(inside));
+    }
+
+    /// The boundary-tolerant containment test with no shortcut: the
+    /// formula [`Polygon::contains`] must reproduce bit for bit.
+    fn contains_unfiltered(poly: &Polygon, q: Point) -> bool {
+        let scale = poly.bbox().diagonal().max(1.0);
+        poly.distance_to_boundary(q) <= EPS * scale * 10.0 || poly.contains_strict(q)
+    }
+
+    /// Every edge through the exact test, no box filter.
+    fn crosses_unfiltered(poly: &Polygon, seg: Segment) -> bool {
+        poly.edges().any(|e| seg.crosses_interior(e))
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Polygons of the shapes the march queries: a 64-gon (the scenario
+    /// FoI outlines), a concave star, an L, axis-aligned rectangles, and
+    /// copies far from the origin and at a tiny scale.
+    fn predicate_polygons() -> Vec<Polygon> {
+        let star = Polygon::new(
+            (0..40)
+                .map(|i| {
+                    let a = std::f64::consts::TAU * i as f64 / 40.0;
+                    let r = if i % 2 == 0 { 300.0 } else { 120.0 };
+                    p(r * a.cos(), r * a.sin())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let l = Polygon::new(vec![
+            p(0.0, 0.0),
+            p(200.0, 0.0),
+            p(200.0, 80.0),
+            p(80.0, 80.0),
+            p(80.0, 200.0),
+            p(0.0, 200.0),
+        ])
+        .unwrap();
+        let gon = Polygon::regular(p(500.0, -200.0), 400.0, 64);
+        vec![
+            gon.clone(),
+            star.clone(),
+            l,
+            Polygon::rectangle(p(-50.0, -50.0), 100.0, 100.0),
+            gon.translated(Vector::new(3e7, -1e7)),
+            star.scaled_about(Point::ORIGIN, 1e-4),
+        ]
+    }
+
+    /// Query points: random points around the box, every vertex, edge
+    /// midpoints, and points on edges pushed off by ±1e-13…1e-5 of the
+    /// polygon's size.
+    fn predicate_points(poly: &Polygon, next: &mut impl FnMut() -> f64) -> Vec<Point> {
+        let bb = poly.bbox();
+        let d = bb.diagonal();
+        let mut pts: Vec<Point> = (0..300)
+            .map(|_| {
+                p(
+                    bb.min.x - 0.2 * d + next() * 1.4 * (bb.max.x - bb.min.x + 0.3 * d),
+                    bb.min.y - 0.2 * d + next() * 1.4 * (bb.max.y - bb.min.y + 0.3 * d),
+                )
+            })
+            .collect();
+        pts.extend_from_slice(poly.vertices());
+        for e in poly.edges() {
+            pts.push(e.midpoint());
+            let t = next();
+            let on = e.at(t);
+            let dir = e.direction();
+            let normal = Vector::new(-dir.y, dir.x) / dir.norm();
+            for k in [1e-13, 1e-11, 1e-9, 1e-8, 1e-7, 1e-5] {
+                pts.push(on + normal * (k * d));
+                pts.push(on - normal * (k * d));
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn contains_matches_the_unfiltered_formula() {
+        let mut next = lcg(0x5eed);
+        let (mut inside, mut outside) = (0usize, 0usize);
+        for poly in predicate_polygons() {
+            for q in predicate_points(&poly, &mut next) {
+                let want = contains_unfiltered(&poly, q);
+                assert_eq!(poly.contains(q), want, "contains({q}) on {poly:?}");
+                if want {
+                    inside += 1;
+                } else {
+                    outside += 1;
+                }
+            }
+        }
+        assert!(
+            inside > 1000 && outside > 1000,
+            "{inside} in / {outside} out"
+        );
+    }
+
+    #[test]
+    fn segment_crossing_matches_the_unfiltered_formula() {
+        let mut next = lcg(0xc0ffee);
+        let (mut crossing, mut clear) = (0usize, 0usize);
+        let mut check = |poly: &Polygon, seg: Segment| {
+            let want = crosses_unfiltered(poly, seg);
+            assert_eq!(
+                poly.segment_crosses_boundary(seg),
+                want,
+                "segment {:?} on {poly:?}",
+                seg
+            );
+            if want {
+                crossing += 1;
+            } else {
+                clear += 1;
+            }
+        };
+        for poly in predicate_polygons() {
+            let pts = predicate_points(&poly, &mut next);
+            let pick = |next: &mut dyn FnMut() -> f64| pts[(next() * pts.len() as f64) as usize];
+            // Random segments between query points (boundary endpoints
+            // and near-boundary points included).
+            for _ in 0..1500 {
+                let (a, b) = (pick(&mut next), pick(&mut next));
+                check(&poly, Segment::new(a, b));
+            }
+            let verts = poly.vertices();
+            let nv = verts.len();
+            for (i, e) in poly.edges().enumerate() {
+                // Collinear with the edge: inside it, overlapping one end,
+                // spanning it, and disjoint along its line.
+                for (t0, t1) in [(0.2, 0.7), (-0.3, 0.4), (-0.5, 1.5), (1.1, 1.6), (0.0, 1.0)] {
+                    check(&poly, Segment::new(e.at(t0), e.at(t1)));
+                }
+                // Endpoints touching the boundary: vertex to vertex, edge
+                // point to edge point, vertex to a random point.
+                let j = (i + nv / 3 + 1) % nv;
+                check(&poly, Segment::new(verts[i], verts[j]));
+                check(
+                    &poly,
+                    Segment::new(e.midpoint(), poly.edges().nth(j).unwrap().at(0.3)),
+                );
+                check(&poly, Segment::new(verts[i], pick(&mut next)));
+                // Zero-length segment on the boundary.
+                check(&poly, Segment::new(e.midpoint(), e.midpoint()));
+            }
+        }
+        assert!(
+            crossing > 1000 && clear > 1000,
+            "{crossing} crossing / {clear} clear"
+        );
     }
 
     #[test]

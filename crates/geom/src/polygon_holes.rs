@@ -181,10 +181,8 @@ impl PolygonWithHoles {
         if self.outer.segment_crosses_boundary(seg) {
             return true;
         }
-        for h in &self.holes {
-            if h.edges().any(|e| seg.crosses_interior(e)) {
-                return true;
-            }
+        if self.holes.iter().any(|h| h.segment_crosses_boundary(seg)) {
+            return true;
         }
         // Segment entirely in forbidden space (or hole) without crossing
         // an edge: check the midpoint.

@@ -110,16 +110,11 @@ impl FoiMesher {
         self
     }
 
-    /// Meshes the region.
-    ///
-    /// # Errors
-    ///
-    /// * [`MeshError::EmptyMesh`] — spacing too coarse for the region.
-    /// * [`MeshError::TopologyMismatch`] — the triangulation's boundary
-    ///   structure does not match the region (usually the spacing is too
-    ///   coarse to resolve a hole or a neck).
-    /// * Any error from the underlying Delaunay step.
-    pub fn mesh(&self, region: &PolygonWithHoles) -> Result<FoiMesh, MeshError> {
+    /// The point set [`FoiMesher::mesh`] triangulates: the resampled
+    /// outer boundary, then each hole boundary, then the interior grid
+    /// points farther than `0.45 · spacing` from every boundary — all
+    /// jittered deterministically unless the jitter is 0.
+    pub fn sample_points(&self, region: &PolygonWithHoles) -> Vec<Point> {
         let mut points: Vec<Point> = Vec::new();
 
         // Boundary samples are jittered tangentially-agnostically by the
@@ -146,8 +141,6 @@ impl FoiMesher {
             }
         }
 
-        let n_boundary = points.len();
-
         // Interior grid, inset from all boundaries to avoid slivers.
         let inset = 0.45 * self.spacing;
         let mut k = 0u64;
@@ -164,6 +157,20 @@ impl FoiMesher {
             points.push(q);
         }
 
+        points
+    }
+
+    /// Meshes the region.
+    ///
+    /// # Errors
+    ///
+    /// * [`MeshError::EmptyMesh`] — spacing too coarse for the region.
+    /// * [`MeshError::TopologyMismatch`] — the triangulation's boundary
+    ///   structure does not match the region (usually the spacing is too
+    ///   coarse to resolve a hole or a neck).
+    /// * Any error from the underlying Delaunay step.
+    pub fn mesh(&self, region: &PolygonWithHoles) -> Result<FoiMesh, MeshError> {
+        let points = self.sample_points(region);
         if points.len() < 3 {
             return Err(MeshError::EmptyMesh);
         }
@@ -177,7 +184,7 @@ impl FoiMesher {
         for (ti, t) in dt.triangles().iter().enumerate() {
             let tri = dt.triangle(ti);
             let c = tri.centroid();
-            if !region.contains(c) || region.in_hole(c) {
+            if !region.contains(c) {
                 continue;
             }
             // Reject slivers spanning a concave notch of the *outer*
@@ -210,7 +217,6 @@ impl FoiMesher {
             }
             tris.push(nt);
         }
-        let _ = n_boundary;
 
         let mesh = TriMesh::new(verts, tris)?;
         let loops = mesh.boundary_loops();

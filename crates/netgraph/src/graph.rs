@@ -48,27 +48,32 @@ impl UnitDiskGraph {
         let mut num_links = 0;
         let r2 = range * range;
 
-        // Spatial hash for O(n) expected construction at lattice density.
-        let cell = range;
-        let key =
-            |p: Point| -> (i64, i64) { ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64) };
-        let mut buckets: std::collections::BTreeMap<(i64, i64), Vec<usize>> =
-            std::collections::BTreeMap::new();
+        // Cell table: robots sorted by their (row, column) cell of side
+        // `range`, so the three candidate cells of each neighbouring row
+        // are one contiguous run, found by binary search. Sorting keeps
+        // the table O(n) whatever the positions' extent (cell indices
+        // saturate far out, and the distance test decides every pair).
+        let cell = |v: f64| (v / range).floor() as i64;
+        let mut table: Vec<(i64, i64, usize)> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (cell(p.y), cell(p.x), i))
+            .collect();
+        table.sort_unstable();
         for (i, &p) in positions.iter().enumerate() {
-            buckets.entry(key(p)).or_default().push(i);
-        }
-        for (i, &p) in positions.iter().enumerate() {
-            let (kx, ky) = key(p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(cands) = buckets.get(&(kx + dx, ky + dy)) {
-                        for &j in cands {
-                            if j > i && positions[j].distance_sq(p) <= r2 {
-                                adjacency[i].push(j);
-                                adjacency[j].push(i);
-                                num_links += 1;
-                            }
-                        }
+            let (ky, kx) = (cell(p.y), cell(p.x));
+            let (x0, x1) = (kx.saturating_sub(1), kx.saturating_add(1));
+            for row in [ky.checked_sub(1), Some(ky), ky.checked_add(1)]
+                .into_iter()
+                .flatten()
+            {
+                let lo = table.partition_point(|&(y, x, _)| (y, x) < (row, x0));
+                let hi = table.partition_point(|&(y, x, _)| (y, x) <= (row, x1));
+                for &(_, _, j) in &table[lo..hi] {
+                    if j > i && positions[j].distance_sq(p) <= r2 {
+                        adjacency[i].push(j);
+                        adjacency[j].push(i);
+                        num_links += 1;
                     }
                 }
             }
@@ -342,6 +347,60 @@ mod tests {
                 let expect = pts[i].distance(pts[j]) <= 90.0;
                 assert_eq!(g.has_link(i, j), expect, "link ({i}, {j})");
             }
+        }
+    }
+
+    /// O(n²) adjacency with the construction's own range test.
+    fn brute_adjacency(pts: &[Point], range: f64) -> Vec<Vec<usize>> {
+        (0..pts.len())
+            .map(|i| {
+                (0..pts.len())
+                    .filter(|&j| j != i && pts[j].distance_sq(pts[i]) <= range * range)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cell_table_matches_bruteforce_on_hostile_positions() {
+        let mut cases: Vec<(Vec<Point>, f64)> = Vec::new();
+        // Lattice on exact cell boundaries, negative quadrant included.
+        let lattice: Vec<Point> = (-6..6)
+            .flat_map(|j| (-6..6).map(move |i| p(40.0 * i as f64, 40.0 * j as f64)))
+            .collect();
+        cases.push((lattice.clone(), 80.0));
+        cases.push((lattice.clone(), 40.0));
+        // Duplicates and a far straggler.
+        let mut dup = lattice.clone();
+        dup.extend_from_within(0..10);
+        dup.push(p(1e9, -1e9));
+        cases.push((dup, 80.0));
+        // Positions whose cell indices saturate i64, at both ends, next
+        // to ordinary ones: no table cell per unit of extent, no overflow.
+        cases.push((
+            vec![
+                p(1e300, 1e300),
+                p(1e300, 1e300),
+                p(-1e300, 5.0),
+                p(f64::MAX, -f64::MAX),
+                p(0.0, 0.0),
+                p(50.0, 0.0),
+                p(1e300 + 1e285, 1e300),
+            ],
+            80.0,
+        ));
+        cases.push((
+            lattice
+                .iter()
+                .map(|q| p(q.x * 1e-140, q.y * 1e-140))
+                .collect(),
+            8e-139,
+        ));
+        for (pts, range) in cases {
+            let g = UnitDiskGraph::new(&pts, range);
+            let want = brute_adjacency(&pts, range);
+            assert_eq!(g.adjacency(), want.as_slice(), "range {range}");
+            assert_eq!(g.num_links(), want.iter().map(Vec::len).sum::<usize>() / 2);
         }
     }
 
